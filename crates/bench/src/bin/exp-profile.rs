@@ -1,115 +1,50 @@
-//! `exp-profile` — wall-clock phase attribution for the fig4 parallel
-//! regression.
+//! `exp-profile` — where the wall time of a fig4 run goes.
 //!
-//! Runs the fig4 MeT curve twice with the span profiler armed — once on
-//! the sequential engine (`MET_THREADS=1` equivalent) and once at N
-//! threads — then:
+//! Runs the fig4 MeT curve once with the span profiler armed, then:
 //!
-//! * writes one Chrome trace-event JSON per leg
-//!   (`fig4-threads{N}.trace.json`, loadable in chrome://tracing or
-//!   Perfetto),
+//! * writes the Chrome trace-event JSON (`fig4.trace.json`, loadable in
+//!   chrome://tracing or Perfetto),
 //! * writes the aggregated span registry in Prometheus text format
 //!   (`spans.prom`),
-//! * prints the per-phase attribution table (self wall ms at 1 vs N
-//!   threads, speedup, parallel efficiency) and names the top-3 phases
-//!   responsible for the N-thread slowdown.
+//! * prints per-phase self wall ms, sorted by self time.
 //!
 //! Knobs (via [`simcore::config::EnvConfig`]; see the README's knob
-//! table): `MET_PROFILE_MINUTES`, `MET_PROFILE_OUT`, `MET_PERF_THREADS`
-//! (parallel leg's thread count, else `MET_THREADS`, floored at 2).
+//! table): `MET_PROFILE_MINUTES`, `MET_PROFILE_OUT`.
 
-use met_bench::profile::{self, ProfileConfig, ProfileLeg};
+use met_bench::profile::{self, ProfileConfig};
 use telemetry::span as wallspan;
 
-fn write_artifacts(cfg: &ProfileConfig, leg: &ProfileLeg) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(&cfg.out_dir)?;
-    let path = cfg.out_dir.join(format!("fig4-threads{}.trace.json", leg.threads));
-    std::fs::write(&path, wallspan::chrome_trace(&leg.records))?;
-    Ok(path)
-}
-
 fn main() {
-    let env = simcore::config::env_config();
-    let cfg = ProfileConfig::from_env(env);
-    eprintln!(
-        "exp-profile: fig4 seed {} for {} simulated minutes, threads 1 vs {}",
-        cfg.seed, cfg.minutes, cfg.threads
-    );
+    let cfg = ProfileConfig::from_env(simcore::config::env_config());
+    eprintln!("exp-profile: fig4 seed {} for {} simulated minutes...", cfg.seed, cfg.minutes);
+    let leg = profile::run_leg(&cfg);
+    eprintln!("exp-profile:   {:.2}s wall, {} spans", leg.wall_s, leg.records.len());
 
-    eprintln!("exp-profile: sequential leg (threads=1)...");
-    let seq = profile::run_leg(&cfg, 1);
-    eprintln!(
-        "exp-profile:   {:.2}s wall, {:.0} ticks/s, {} spans",
-        seq.wall_s,
-        seq.ticks_per_sec(),
-        seq.records.len()
-    );
-    eprintln!("exp-profile: parallel leg (threads={})...", cfg.threads);
-    let par = profile::run_leg(&cfg, cfg.threads);
-    eprintln!(
-        "exp-profile:   {:.2}s wall, {:.0} ticks/s, {} spans",
-        par.wall_s,
-        par.ticks_per_sec(),
-        par.records.len()
-    );
-
-    for leg in [&seq, &par] {
-        match write_artifacts(&cfg, leg) {
-            Ok(path) => eprintln!("exp-profile: wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("exp-profile: failed to write trace artifact: {e}");
-                std::process::exit(1);
-            }
+    let write = |name: &str, body: String| {
+        let path = cfg.out_dir.join(name);
+        if let Err(e) =
+            std::fs::create_dir_all(&cfg.out_dir).and_then(|_| std::fs::write(&path, body))
+        {
+            eprintln!("exp-profile: failed to write {}: {e}", path.display());
+            std::process::exit(1);
         }
-    }
-
-    // Mirror both legs' aggregates into a registry and expose it in
-    // Prometheus text format next to the traces.
+        eprintln!("exp-profile: wrote {}", path.display());
+    };
+    write("fig4.trace.json", wallspan::chrome_trace(&leg.records));
+    // Mirror the aggregate into a registry and expose it in Prometheus
+    // text format next to the trace.
     let registry = telemetry::Telemetry::new(telemetry::Verbosity::Off);
-    wallspan::export_to_registry(&registry, &seq.records);
-    registry.gauge_set("profile_wall_seconds", &[("threads", "1")], seq.wall_s);
-    let threads_label = par.threads.to_string();
-    registry.gauge_set("profile_wall_seconds", &[("threads", &threads_label)], par.wall_s);
-    let prom_path = cfg.out_dir.join("spans.prom");
-    if let Err(e) = std::fs::write(&prom_path, registry.render_prometheus()) {
-        eprintln!("exp-profile: failed to write {}: {e}", prom_path.display());
-        std::process::exit(1);
-    }
-    eprintln!("exp-profile: wrote {}", prom_path.display());
+    wallspan::export_to_registry(&registry, &leg.records);
+    registry.gauge_set("profile_wall_seconds", &[], leg.wall_s);
+    write("spans.prom", registry.render_prometheus());
 
-    let rows = profile::compare(&seq, &par);
     println!(
-        "fig4 wall-clock phase attribution ({} simulated minutes, {} ticks)",
-        cfg.minutes, seq.ticks
-    );
-    println!(
-        "end-to-end: {:.0} ticks/s at 1 thread vs {:.0} ticks/s at {} threads ({:.2}x)",
-        seq.ticks_per_sec(),
-        par.ticks_per_sec(),
-        par.threads,
-        par.wall_s / seq.wall_s.max(1e-9),
+        "fig4 wall-clock phase attribution ({} simulated minutes, {} ticks, {:.2}s wall, {:.0} ticks/s)",
+        cfg.minutes,
+        leg.ticks,
+        leg.wall_s,
+        leg.ticks_per_sec()
     );
     println!();
-    print!("{}", profile::render_table(&rows, par.threads));
-    println!();
-
-    let top = profile::top_regressions(&rows, 3);
-    if top.is_empty() {
-        println!(
-            "no phase lost wall time at {} threads — the regression is not phase-local",
-            par.threads
-        );
-    } else {
-        println!("top phases behind the {}-thread slowdown:", par.threads);
-        for (i, r) in top.iter().enumerate() {
-            println!(
-                "  {}. {} (+{:.1} ms self time vs sequential, {:.2}x speedup, {:.0}% efficiency)",
-                i + 1,
-                r.name,
-                r.regression_ms,
-                r.speedup,
-                r.efficiency * 100.0,
-            );
-        }
-    }
+    print!("{}", profile::render_table(&leg.stats, leg.wall_s));
 }

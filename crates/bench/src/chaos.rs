@@ -88,32 +88,27 @@ pub fn run_chaos_curve(
     plan: &FaultPlan,
     telemetry: Telemetry,
 ) -> ChaosRun {
-    run_chaos_curve_threads(seed, minutes, plan, telemetry, None).0
+    run_chaos_curve_snapshot(seed, minutes, plan, telemetry).0
 }
 
-/// [`run_chaos_curve`] with an explicit simulation thread count (`None`
-/// keeps the `MET_THREADS` default) and the final cluster snapshot, so
-/// cross-thread determinism checks can compare end states. A thin wrapper
-/// over the unified [`ScenarioSpec`](crate::ScenarioSpec) runner: the chaos
-/// experiment is exactly [`MetFixedFleet`](crate::ScenarioStrategy) plus a
-/// fault plan, a realistic 60 s provision delay (so a crash is a real
-/// outage rather than an instant swap) and per-tick layout tracking.
-pub fn run_chaos_curve_threads(
+/// [`run_chaos_curve`] plus the final cluster snapshot, so determinism
+/// checks can compare end states. A thin wrapper over the unified
+/// [`ScenarioSpec`](crate::ScenarioSpec) runner: the chaos experiment is
+/// exactly [`MetFixedFleet`](crate::ScenarioStrategy) plus a fault plan, a
+/// realistic 60 s provision delay (so a crash is a real outage rather than
+/// an instant swap) and per-tick layout tracking.
+pub fn run_chaos_curve_snapshot(
     seed: u64,
     minutes: u64,
     plan: &FaultPlan,
     telemetry: Telemetry,
-    threads: Option<usize>,
 ) -> (ChaosRun, ClusterSnapshot) {
-    let mut spec = crate::ScenarioSpec::new(crate::ScenarioStrategy::MetFixedFleet, seed, minutes)
+    let run = crate::ScenarioSpec::new(crate::ScenarioStrategy::MetFixedFleet, seed, minutes)
         .telemetry(telemetry.clone())
         .faults(plan.clone())
         .provision_delay(SimDuration::from_secs(60))
-        .track_layout(true);
-    if let Some(t) = threads {
-        spec = spec.threads(t);
-    }
-    let run = spec.run();
+        .track_layout(true)
+        .run();
 
     let end = SimTime::from_mins(minutes + 2);
     // Saturate for short runs (determinism gates use 6-minute curves);

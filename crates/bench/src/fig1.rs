@@ -123,13 +123,25 @@ pub struct Fig1Result {
 }
 
 /// Runs the whole Figure 1 experiment.
+///
+/// The `(strategy, seed)` runs are independent simulations, so they fan
+/// out over `MET_THREADS` workers ([`simcore::par::map`]); results come
+/// back in `(strategy, seed)` order and are combined in that order, so the
+/// report is identical at any worker count.
 pub fn run(runs: u64, measured_minutes: u64) -> Fig1Result {
+    let jobs: Vec<(Strategy, u64)> = Strategy::ALL
+        .iter()
+        .flat_map(|&strategy| (0..runs).map(move |seed| (strategy, 1_000 + seed)))
+        .collect();
+    let results = simcore::par::map(simcore::par::met_threads(), &jobs, |&(strategy, seed)| {
+        run_once(strategy, seed, measured_minutes)
+    });
+    let mut results = results.into_iter();
     let mut bars = BTreeMap::new();
     let mut mean_total = BTreeMap::new();
     for strategy in Strategy::ALL {
         let mut summaries: BTreeMap<String, PercentileSummary> = BTreeMap::new();
-        for seed in 0..runs {
-            let run = run_once(strategy, 1_000 + seed, measured_minutes);
+        for run in results.by_ref().take(runs as usize) {
             for (name, v) in &run.per_workload {
                 summaries.entry(name.clone()).or_default().push(*v);
             }

@@ -40,37 +40,25 @@ fn resample(series: &TimeSeries) -> Curve {
 
 /// Runs the MeT curve: Random-Homogeneous start, MeT attached at minute 2.
 pub fn run_met_curve(seed: u64, minutes: u64) -> (TimeSeries, u64) {
-    run_met_curve_traced(seed, minutes, telemetry::Telemetry::disabled())
+    let (series, reconfigurations, _) =
+        run_met_curve_traced(seed, minutes, telemetry::Telemetry::disabled());
+    (series, reconfigurations)
 }
 
 /// [`run_met_curve`] with the control loop and simulator reporting through
 /// `telemetry` — the registry feeds the report summary and, when a JSONL
-/// sink is attached, the run leaves a full audit trail behind.
+/// sink is attached, the run leaves a full audit trail behind — plus the
+/// final cluster snapshot, so determinism checks can compare end states.
+/// A thin wrapper over the unified [`ScenarioSpec`](crate::ScenarioSpec)
+/// runner.
 pub fn run_met_curve_traced(
     seed: u64,
     minutes: u64,
     telemetry: telemetry::Telemetry,
-) -> (TimeSeries, u64) {
-    let (series, reconfigurations, _) = run_met_curve_threads(seed, minutes, telemetry, None);
-    (series, reconfigurations)
-}
-
-/// [`run_met_curve_traced`] with an explicit simulation thread count
-/// (`None` keeps the `MET_THREADS` default) and the final cluster snapshot,
-/// so cross-thread determinism checks can compare end states. A thin
-/// wrapper over the unified [`ScenarioSpec`](crate::ScenarioSpec) runner.
-pub fn run_met_curve_threads(
-    seed: u64,
-    minutes: u64,
-    telemetry: telemetry::Telemetry,
-    threads: Option<usize>,
 ) -> (TimeSeries, u64, cluster::ClusterSnapshot) {
-    let mut spec = crate::ScenarioSpec::new(crate::ScenarioStrategy::MetFixedFleet, seed, minutes)
-        .telemetry(telemetry);
-    if let Some(t) = threads {
-        spec = spec.threads(t);
-    }
-    let run = spec.run();
+    let run = crate::ScenarioSpec::new(crate::ScenarioStrategy::MetFixedFleet, seed, minutes)
+        .telemetry(telemetry)
+        .run();
     (run.total_series, run.reconfigurations, run.snapshot)
 }
 
@@ -101,7 +89,7 @@ pub fn run(seed: u64, minutes: u64) -> Fig4Result {
 /// [`run`] with the MeT curve instrumented through `telemetry` (the manual
 /// baselines have no control loop to audit).
 pub fn run_traced(seed: u64, minutes: u64, telemetry: telemetry::Telemetry) -> Fig4Result {
-    let (met_series, reconfigurations) = run_met_curve_traced(seed, minutes, telemetry);
+    let (met_series, reconfigurations, _) = run_met_curve_traced(seed, minutes, telemetry);
     let homog = run_manual_curve(Strategy::ManualHomogeneous, seed, minutes);
     let het = run_manual_curve(Strategy::ManualHeterogeneous, seed, minutes);
 

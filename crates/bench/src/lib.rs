@@ -12,10 +12,10 @@ pub mod latency;
 pub mod perf;
 pub mod profile;
 pub mod report;
-pub mod scale;
 pub mod scenario;
 pub mod spec;
 pub mod table2;
+pub mod trace;
 
 pub use spec::{ScenarioRun, ScenarioSpec, ScenarioStrategy};
 

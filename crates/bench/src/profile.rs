@@ -1,17 +1,12 @@
 //! The `exp-profile` harness: wall-clock phase attribution for the fig4
-//! run at 1 vs N threads.
+//! run.
 //!
-//! Each leg arms the span profiler ([`telemetry::span`]), runs the fig4
-//! MeT curve at a fixed thread count, and drains the recorded spans. The
-//! 1-thread and N-thread legs are then joined per phase: a phase whose
-//! wall time *grows* with more threads is directly implicated in the
-//! parallel regression the ROADMAP tracks (fig4 ticks/s dropping at 2
-//! threads) — this table is the input the sharded-engine work needs.
-//!
-//! Sim results are unaffected by profiling (the spans are trace-invisible
-//! by construction; `parallel_determinism` pins this), so both legs
-//! simulate the identical cluster and any wall-clock difference is pure
-//! engine overhead.
+//! One leg arms the span profiler ([`telemetry::span`]), runs the fig4 MeT
+//! curve, and drains the recorded spans; the per-phase aggregate says
+//! where the wall time went. Sim results are unaffected by profiling (the
+//! spans are trace-invisible by construction; `trace_determinism` pins
+//! this), so the profiled leg simulates exactly the cluster `exp-fig4`
+//! does.
 
 use simcore::config::EnvConfig;
 use std::path::PathBuf;
@@ -21,13 +16,10 @@ use telemetry::span::{self as wallspan, SpanRecord, SpanStats};
 /// Configuration for one `exp-profile` run.
 #[derive(Debug, Clone)]
 pub struct ProfileConfig {
-    /// Scenario seed (fixed: legs must simulate the same cluster).
+    /// Scenario seed (the one `exp-fig4` runs).
     pub seed: u64,
-    /// Simulated minutes per leg (`MET_PROFILE_MINUTES`, default 4).
+    /// Simulated minutes (`MET_PROFILE_MINUTES`, default 4).
     pub minutes: u64,
-    /// The parallel leg's thread count (`MET_PERF_THREADS` or
-    /// `MET_THREADS`, floored at 2 — the regression point).
-    pub threads: usize,
     /// Artifact directory (`MET_PROFILE_OUT`, default `results/profile`).
     pub out_dir: PathBuf,
 }
@@ -38,7 +30,6 @@ impl ProfileConfig {
         ProfileConfig {
             seed: 1_000,
             minutes: cfg.profile_minutes.unwrap_or(4),
-            threads: cfg.perf_threads.unwrap_or(cfg.threads).max(2),
             out_dir: cfg.profile_out.clone().unwrap_or_else(|| PathBuf::from("results/profile")),
         }
     }
@@ -47,8 +38,6 @@ impl ProfileConfig {
 /// One profiled fig4 run.
 #[derive(Debug)]
 pub struct ProfileLeg {
-    /// Engine thread count the leg ran at.
-    pub threads: usize,
     /// End-to-end wall seconds for the leg.
     pub wall_s: f64,
     /// Simulated ticks executed.
@@ -70,106 +59,42 @@ impl ProfileLeg {
     }
 }
 
-/// Runs one profiled fig4 leg at `threads`. Arms the profiler for the
-/// duration of the run and disarms it before returning, so legs compose.
-pub fn run_leg(cfg: &ProfileConfig, threads: usize) -> ProfileLeg {
+/// Runs the profiled fig4 leg. Arms the profiler for the duration of the
+/// run and disarms it before returning.
+pub fn run_leg(cfg: &ProfileConfig) -> ProfileLeg {
     wallspan::clear();
     wallspan::set_enabled(true);
     let start = Instant::now();
-    let _ = crate::fig4::run_met_curve_threads(
-        cfg.seed,
-        cfg.minutes,
-        telemetry::Telemetry::disabled(),
-        Some(threads),
-    );
+    let _ =
+        crate::fig4::run_met_curve_traced(cfg.seed, cfg.minutes, telemetry::Telemetry::disabled());
     let wall_s = start.elapsed().as_secs_f64();
     wallspan::set_enabled(false);
     let records = wallspan::drain();
     let stats = wallspan::aggregate(&records);
     // The scenario runner executes (minutes + 2) * 60 ticks (2 ramp
     // minutes before the controller window).
-    ProfileLeg { threads, wall_s, ticks: (cfg.minutes + 2) * 60, records, stats }
+    ProfileLeg { wall_s, ticks: (cfg.minutes + 2) * 60, records, stats }
 }
 
-/// One phase joined across the sequential and parallel legs.
-#[derive(Debug, Clone)]
-pub struct PhaseComparison {
-    /// Phase (span) name.
-    pub name: &'static str,
-    /// Span count in the 1-thread leg.
-    pub count_seq: u64,
-    /// Self wall ms in the 1-thread leg.
-    pub seq_self_ms: f64,
-    /// Self wall ms in the N-thread leg.
-    pub par_self_ms: f64,
-    /// Wall-clock speedup of the phase (`seq / par`; < 1 means the phase
-    /// got *slower* with threads).
-    pub speedup: f64,
-    /// Parallel efficiency: `speedup / threads`.
-    pub efficiency: f64,
-    /// Absolute wall-ms the N-thread leg loses (negative = gains) on this
-    /// phase relative to sequential.
-    pub regression_ms: f64,
-}
-
-/// Joins two legs per phase. Returns rows ordered by `regression_ms`
-/// descending — the top rows *are* the parallel regression.
-pub fn compare(seq: &ProfileLeg, par: &ProfileLeg) -> Vec<PhaseComparison> {
-    let threads = par.threads as f64;
-    let mut rows: Vec<PhaseComparison> = seq
-        .stats
-        .iter()
-        .map(|s| {
-            let p = par.stats.iter().find(|p| p.name == s.name);
-            let par_self = p.map(|p| p.self_ms).unwrap_or(0.0);
-            let speedup = if par_self > 0.0 { s.self_ms / par_self } else { f64::INFINITY };
-            PhaseComparison {
-                name: s.name,
-                count_seq: s.count,
-                seq_self_ms: s.self_ms,
-                par_self_ms: par_self,
-                speedup,
-                efficiency: speedup / threads,
-                regression_ms: par_self - s.self_ms,
-            }
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.regression_ms.partial_cmp(&a.regression_ms).expect("finite ms").then(a.name.cmp(b.name))
-    });
-    rows
-}
-
-/// The phases that cost the parallel leg the most wall time relative to
-/// sequential — the named culprits of the fig4 thread regression.
-pub fn top_regressions(rows: &[PhaseComparison], n: usize) -> Vec<&PhaseComparison> {
-    rows.iter().filter(|r| r.regression_ms > 0.0).take(n).collect()
-}
-
-/// Renders the attribution table (self wall ms per phase at both thread
-/// counts, speedup, parallel efficiency).
-pub fn render_table(rows: &[PhaseComparison], threads: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22} {:>8} {:>12} {:>12} {:>9} {:>11} {:>11}\n",
-        "phase",
-        "count",
-        "self ms @1",
-        format!("self ms @{threads}"),
-        "speedup",
-        "efficiency",
-        "regress ms"
-    ));
-    for r in rows {
-        let (speedup, efficiency) = if r.speedup.is_finite() {
-            (format!("{:.2}x", r.speedup), format!("{:.0}%", r.efficiency * 100.0))
-        } else {
-            // The phase vanished from the parallel leg's self time.
-            ("-".to_string(), "-".to_string())
-        };
+/// Renders the attribution table: per phase, its span count, total and
+/// self wall ms, its share of the leg's wall time and its per-span p50 and
+/// p99, in the order of `stats` (self time, descending).
+pub fn render_table(stats: &[SpanStats], wall_s: f64) -> String {
+    let wall_ms = (wall_s * 1e3).max(1e-9);
+    let mut out = format!(
+        "{:<22} {:>8} {:>10} {:>10} {:>7} {:>9} {:>9}\n",
+        "phase", "count", "total ms", "self ms", "self %", "p50 ms", "p99 ms"
+    );
+    for s in stats {
         out.push_str(&format!(
-            "{:<22} {:>8} {:>12.1} {:>12.1} {:>9} {:>11} {:>+11.1}\n",
-            r.name, r.count_seq, r.seq_self_ms, r.par_self_ms, speedup, efficiency, r.regression_ms,
+            "{:<22} {:>8} {:>10.1} {:>10.1} {:>6.1}% {:>9.3} {:>9.3}\n",
+            s.name,
+            s.count,
+            s.total_ms,
+            s.self_ms,
+            100.0 * s.self_ms / wall_ms,
+            s.p50_ms,
+            s.p99_ms,
         ));
     }
     out
@@ -191,60 +116,32 @@ mod tests {
         }
     }
 
-    fn leg(threads: usize, stats: Vec<SpanStats>) -> ProfileLeg {
-        ProfileLeg { threads, wall_s: 1.0, ticks: 60, records: Vec::new(), stats }
-    }
-
     #[test]
-    fn comparison_ranks_regressions_first() {
-        let seq = leg(1, vec![stats("solver.fanout", 100.0), stats("sim.warmth", 50.0)]);
-        let par = leg(2, vec![stats("solver.fanout", 160.0), stats("sim.warmth", 20.0)]);
-        let rows = compare(&seq, &par);
-        assert_eq!(rows[0].name, "solver.fanout");
-        assert!((rows[0].regression_ms - 60.0).abs() < 1e-9);
-        assert!(rows[0].speedup < 1.0);
-        assert_eq!(rows[1].name, "sim.warmth");
-        assert!((rows[1].speedup - 2.5).abs() < 1e-9);
-        assert!((rows[1].efficiency - 1.25).abs() < 1e-9);
-
-        let top = top_regressions(&rows, 3);
-        assert_eq!(top.len(), 1, "only phases that actually slowed down are culprits");
-        assert_eq!(top[0].name, "solver.fanout");
-    }
-
-    #[test]
-    fn phases_absent_from_the_parallel_leg_do_not_divide_by_zero() {
-        let seq = leg(1, vec![stats("only.seq", 10.0)]);
-        let par = leg(4, Vec::new());
-        let rows = compare(&seq, &par);
-        assert_eq!(rows[0].par_self_ms, 0.0);
-        assert!(rows[0].speedup.is_infinite());
-        assert!((rows[0].regression_ms + 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn table_renders_every_row() {
-        let seq = leg(1, vec![stats("a", 1.0), stats("b", 2.0)]);
-        let par = leg(2, vec![stats("a", 1.0), stats("b", 1.0)]);
-        let rows = compare(&seq, &par);
-        let table = render_table(&rows, 2);
-        assert!(table.contains("phase"));
-        assert!(table.lines().count() == 3);
-        assert!(table.contains("efficiency"));
+    fn table_renders_every_row_in_order() {
+        let table = render_table(&[stats("b", 2.0), stats("a", 1.0)], 0.01);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].starts_with("phase"));
+        assert!(lines[1].starts_with("b "), "rows keep the self-time order: {table}");
+        assert!(lines[1].contains("20.0%"), "2 ms of a 10 ms leg: {table}");
+        assert!(!table.contains("speedup") && !table.contains("efficiency"));
     }
 
     #[test]
     fn profiled_leg_runs_and_records_the_tick_pipeline() {
-        // A tiny end-to-end leg: one simulated minute, sequential engine.
-        let cfg =
-            ProfileConfig { seed: 1_000, minutes: 1, threads: 2, out_dir: PathBuf::from("unused") };
-        let leg = run_leg(&cfg, 1);
+        // A tiny end-to-end leg: one simulated minute.
+        let cfg = ProfileConfig { seed: 1_000, minutes: 1, out_dir: PathBuf::from("unused") };
+        let leg = run_leg(&cfg);
         assert_eq!(leg.ticks, 180);
         assert!(leg.wall_s > 0.0);
         let names: Vec<&str> = leg.stats.iter().map(|s| s.name).collect();
         for expected in ["sim.tick", "sim.solver", "solver.fanout", "solver.evaluate", "met.tick"] {
             assert!(names.contains(&expected), "missing phase {expected} in {names:?}");
         }
+        assert!(
+            leg.stats.windows(2).all(|w| w[0].self_ms >= w[1].self_ms),
+            "phases are ordered by self time"
+        );
         // Profiler is disarmed on return (concurrent tests in this binary
         // may still drop in-flight spans, so only the gate is asserted).
         assert!(!wallspan::enabled());

@@ -121,9 +121,6 @@ pub(crate) fn run_spec(spec: crate::ScenarioSpec) -> crate::ScenarioRun {
         }
         _ => unreachable!("table2::run_spec only handles TPC-C strategies"),
     }
-    if let Some(t) = spec.threads {
-        sim.set_threads(t);
-    }
     sim.add_group(deployment.client_group(CLIENTS, TPCC_THINK_MS));
     sim.set_telemetry(spec.telemetry.clone());
     if let Some(d) = spec.provision_delay {

@@ -15,21 +15,13 @@
 //!    decommissioning — have the availability and locality consequences
 //!    the paper measures (§5, §6.2).
 //!
-//! The whole simulation is deterministic for a given seed — at *any* thread
-//! count. The engine is *sharded*: servers are partitioned into
-//! `MET_THREADS` contiguous chunks of the ID-sorted fleet (the
-//! [`ShardLayout`], rebuilt deterministically whenever the fleet or the
-//! thread count changes), and each shard owns persistent scratch
-//! ([`ShardScratch`] — solver outputs, latency digests, compaction plans,
-//! a metrics staging buffer) that stays resident on its pinned worker
-//! thread across ticks ([`simcore::par::for_each_shard`]). A parallel
-//! phase is then "broadcast inputs → shards run their servers → thin
-//! sequential combine in shard (= server-ID) order", so every reduction
-//! into shared state happens in exactly the order the sequential engine
-//! uses; per-server randomness comes from forked RNG streams keyed by
-//! server ID ([`simcore::SimRng::fork`]), never by thread or shard.
-//! `MET_THREADS=1` (or [`SimCluster::set_threads`]`(1)`) selects the
-//! legacy sequential path, and both paths produce bit-identical traces.
+//! The whole simulation is deterministic for a given seed. A tick runs on
+//! one thread, each phase a plain loop over servers in ID order; randomness
+//! drawn on behalf of a server comes from that server's own stream, forked
+//! from the cluster seed by server ID ([`simcore::SimRng::fork`]), so a
+//! server's draws do not depend on its siblings. Experiments get their
+//! parallelism one level up, by running independent simulations side by
+//! side (`simcore::par::map`).
 
 use crate::admin::{
     AdminError, ClusterSnapshot, ElasticCluster, PartitionMetrics, ServerHealth, ServerMetrics,
@@ -207,8 +199,8 @@ struct SimServer {
     state: ServerState,
     warmth: f64,
     // The server's own forked RNG stream (keyed by server ID), so draws
-    // made on behalf of this server are identical regardless of which
-    // thread — or sibling-server ordering — performs them.
+    // made on behalf of this server do not depend on sibling-server
+    // ordering.
     rng: SimRng,
     compaction_backlog: VecDeque<(PartitionId, f64)>,
     // Metrics from the last completed tick.
@@ -234,92 +226,6 @@ impl SimServer {
     }
 }
 
-/// Deterministic server→shard partition for the parallel phases.
-///
-/// Membership is a pure function of the fleet and the thread count: the
-/// ID-sorted server list (every server in `SimCluster::servers`, whatever
-/// its lifecycle state — crashed servers still answer demand with the
-/// unavailability penalty) is cut into `min(threads, servers)` contiguous
-/// chunks via [`simcore::par::chunk_ranges`], the first `servers % shards`
-/// chunks one server larger. Provision, decommission, and crash-replace
-/// all change the fleet, so the layout is versioned on
-/// `(next_server, servers.len(), threads)` and rebuilt lazily — two runs
-/// that perform the same topology changes rebalance identically at any
-/// thread count.
-struct ShardLayout {
-    version: (u64, usize, usize),
-    /// Effective shard count: `min(threads, max(servers, 1))`.
-    shards: usize,
-    /// All server IDs, ascending.
-    ids: Vec<ServerId>,
-    /// `ids[bounds[s]..bounds[s + 1]]` is shard `s`'s membership.
-    bounds: Vec<usize>,
-}
-
-impl ShardLayout {
-    fn empty() -> Self {
-        ShardLayout { version: (0, 0, 0), shards: 1, ids: Vec::new(), bounds: vec![0, 0] }
-    }
-
-    fn build(ids: Vec<ServerId>, threads: usize, version: (u64, usize, usize)) -> Self {
-        let shards = threads.clamp(1, ids.len().max(1));
-        let ranges = simcore::par::chunk_ranges(ids.len(), shards);
-        let mut bounds = Vec::with_capacity(shards + 1);
-        bounds.push(0);
-        bounds.extend(ranges.iter().map(|r| r.end));
-        ShardLayout { version, shards, ids, bounds }
-    }
-
-    /// The shard owning `sid`. Callers only ask about servers that exist.
-    fn shard_of(&self, sid: ServerId) -> usize {
-        debug_assert!(self.ids.binary_search(&sid).is_ok(), "shard_of on unknown {sid:?}");
-        // The owner is the last shard whose first member is <= sid.
-        (1..self.shards).take_while(|s| self.ids[self.bounds[*s]] <= sid).last().unwrap_or(0)
-    }
-
-    /// Splits an ID-ascending item list (one item per server, a subset of
-    /// the fleet) into per-shard contiguous ranges, in shard order.
-    fn item_ranges(&self, item_ids: impl Iterator<Item = ServerId>) -> Vec<std::ops::Range<usize>> {
-        let mut counts = vec![0usize; self.shards];
-        for id in item_ids {
-            counts[self.shard_of(id)] += 1;
-        }
-        let mut out = Vec::with_capacity(self.shards);
-        let mut start = 0;
-        for c in counts {
-            out.push(start..start + c);
-            start += c;
-        }
-        out
-    }
-
-    /// Shard membership, for the rebalancing tests.
-    fn members(&self) -> Vec<Vec<ServerId>> {
-        (0..self.shards).map(|s| self.ids[self.bounds[s]..self.bounds[s + 1]].to_vec()).collect()
-    }
-}
-
-/// Per-shard scratch that lives in the cluster across ticks — the "hot
-/// state resident in its worker" half of the sharded engine. Shard `s` is
-/// always dispatched to pinned worker `s`, so these vectors (and their
-/// capacity) stay in one thread's cache; every phase clears and refills
-/// them instead of allocating per server per tick.
-#[derive(Default)]
-struct ShardScratch {
-    /// Solver fan-out: per-server evaluations, in ID order within shard.
-    evals: Vec<(ServerId, ServerEval)>,
-    /// Solver fan-out: flattened per-partition response times.
-    responses: Vec<(PartitionId, (f64, f64, f64))>,
-    /// Latency reporting pass: per-server digests.
-    latencies: Vec<(ServerId, LatencySummary)>,
-    /// Compaction drain plans: `(server, completed, leftover)`.
-    plans: Vec<(ServerId, Vec<PartitionId>, Option<f64>)>,
-    /// Cache-metrics pass: per-server utilization/cache updates.
-    cache: Vec<(ServerId, f64, f64, f64, f64, u64, u64)>,
-    /// Metrics staged by this shard, flushed in shard order.
-    metrics: MetricsBuffer,
-}
-
 /// The simulated cluster.
 pub struct SimCluster {
     params: CostParams,
@@ -339,12 +245,9 @@ pub struct SimCluster {
     next_file: u64,
     rng: SimRng,
     // Immutable base for per-server stream forks; never drawn from
-    // directly (forking from a mutable stream inside a parallel section
-    // would make children depend on sibling execution order).
+    // directly, so a server's stream does not depend on when its siblings
+    // were forked.
     rng_streams: SimRng,
-    threads: usize,
-    layout: ShardLayout,
-    scratch: Vec<ShardScratch>,
     total_series: TimeSeries,
     group_series: BTreeMap<String, TimeSeries>,
     latency_series: BTreeMap<String, TimeSeries>,
@@ -390,9 +293,6 @@ impl SimCluster {
             next_file: 1,
             rng,
             rng_streams: SimRng::new(seed).derive("server-streams"),
-            threads: simcore::par::met_threads(),
-            layout: ShardLayout::empty(),
-            scratch: Vec::new(),
             total_series: TimeSeries::new("total ops/s"),
             group_series: BTreeMap::new(),
             latency_series: BTreeMap::new(),
@@ -424,53 +324,6 @@ impl SimCluster {
     pub fn set_wal_replay_rate_mb_s(&mut self, mb_s: f64) {
         assert!(mb_s > 0.0, "replay rate must be positive");
         self.wal_replay_mb_s = mb_s;
-    }
-
-    /// Overrides the thread count for this cluster's parallel phases.
-    ///
-    /// The process-wide default comes from `MET_THREADS` (see
-    /// [`simcore::par::met_threads`]); this per-cluster override exists so
-    /// one process can compare thread counts (the determinism tests run the
-    /// same scenario at 1 and N threads). `1` selects the legacy
-    /// sequential path. Values are clamped to at least 1.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-        // Spawn the long-lived workers up front; the layout itself is
-        // versioned on the thread count and rebuilds lazily. A spawn
-        // failure is survivable — dispatch degrades to inline execution —
-        // so it is reported, not fatal.
-        if let Err(e) = simcore::par::ensure_pool(self.threads) {
-            eprintln!("warning: {e}; parallel phases will run inline");
-        }
-    }
-
-    /// The thread count used by the parallel phases.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Rebuilds the shard layout if the fleet or thread count changed
-    /// since it was last built. `next_server` only ever grows (every
-    /// provision/replace allocates a fresh ID) and removal shrinks the
-    /// map, so `(next_server, servers.len(), threads)` changes whenever
-    /// membership must.
-    fn refresh_layout(&mut self) {
-        let version = (self.next_server, self.servers.len(), self.threads);
-        if self.layout.version == version {
-            return;
-        }
-        self.layout =
-            ShardLayout::build(self.servers.keys().copied().collect(), self.threads, version);
-        self.scratch.resize_with(self.layout.shards, ShardScratch::default);
-    }
-
-    /// Current server→shard ownership, in shard order (for the
-    /// rebalancing property tests: every server appears in exactly one
-    /// shard, membership is contiguous in ID order, and two clusters that
-    /// made the same topology changes agree at any thread count).
-    pub fn shard_members(&mut self) -> Vec<Vec<ServerId>> {
-        self.refresh_layout();
-        self.layout.members()
     }
 
     /// Routes storage-layer telemetry (flushes, compactions, splits, cache
@@ -948,9 +801,7 @@ impl SimCluster {
     }
 
     /// Ids of every known server in any lifecycle state (including
-    /// provisioning, restarting, and stopped), ascending. This is the
-    /// membership the shard layout partitions — stopped servers stay
-    /// owned by a shard until they are removed from the map.
+    /// provisioning, restarting, and stopped), ascending.
     pub fn all_server_ids(&self) -> Vec<ServerId> {
         self.servers.keys().copied().collect()
     }
@@ -1162,56 +1013,36 @@ impl SimCluster {
 
         drop(integrate_span);
 
-        // 5. Compaction backlog drain and completion. Drain plans are
-        // computed in parallel from read-only server state, then applied
-        // sequentially in server-ID order so warmth decay and the DFS
-        // rewrites in finish_compaction happen exactly as the sequential
-        // engine performs them.
+        // 5. Compaction backlog drain and completion: plan every server's
+        // drain from its backlog, then apply the plans in server-ID order.
         let compact_plan_span = wallspan::span("sim.compaction.plan");
         let compact_step = self.params.compact_mb_s * 1e6 * dt;
-        let threads = self.threads;
-        self.refresh_layout();
-        let shards = self.layout.shards;
-        {
-            let drain_entries: Vec<(&ServerId, &SimServer)> = self.servers.iter().collect();
-            let ranges = self.layout.item_ranges(drain_entries.iter().map(|(sid, _)| **sid));
-            let entries_ref = &drain_entries;
-            let ranges_ref = &ranges;
-            simcore::par::for_each_shard(&mut self.scratch[..shards], |shard, sc| {
-                sc.plans.clear();
-                for (sid, server) in &entries_ref[ranges_ref[shard].clone()] {
-                    if server.state != ServerState::Online {
-                        continue;
-                    }
-                    let mut budget = compact_step;
-                    let mut completed: Vec<PartitionId> = Vec::new();
-                    let mut leftover = None;
-                    for &(p, amount) in &server.compaction_backlog {
-                        if budget <= 0.0 {
-                            break;
-                        }
-                        if amount <= budget {
-                            budget -= amount;
-                            completed.push(p);
-                        } else {
-                            leftover = Some(amount - budget);
-                            break;
-                        }
-                    }
-                    if !completed.is_empty() || leftover.is_some() {
-                        sc.plans.push((**sid, completed, leftover));
-                    }
+        let mut plans: Vec<(ServerId, Vec<PartitionId>, Option<f64>)> = Vec::new();
+        for (sid, server) in &self.servers {
+            if server.state != ServerState::Online {
+                continue;
+            }
+            let mut budget = compact_step;
+            let mut completed: Vec<PartitionId> = Vec::new();
+            let mut leftover = None;
+            for &(p, amount) in &server.compaction_backlog {
+                if budget <= 0.0 {
+                    break;
                 }
-            });
+                if amount <= budget {
+                    budget -= amount;
+                    completed.push(p);
+                } else {
+                    leftover = Some(amount - budget);
+                    break;
+                }
+            }
+            if !completed.is_empty() || leftover.is_some() {
+                plans.push((*sid, completed, leftover));
+            }
         }
         drop(compact_plan_span);
         let compact_apply_span = wallspan::span("sim.compaction.apply");
-        // Apply in shard order = server-ID order, exactly as the
-        // sequential engine drains.
-        let mut plans: Vec<(ServerId, Vec<PartitionId>, Option<f64>)> = Vec::new();
-        for sc in &mut self.scratch[..shards] {
-            plans.append(&mut sc.plans);
-        }
         for (sid, completed, leftover) in plans {
             let server = self.servers.get_mut(&sid).expect("iterating known ids");
             for _ in &completed {
@@ -1248,13 +1079,12 @@ impl SimCluster {
         // 6. Warmth evolution (each server only touches itself).
         let warmth_span = wallspan::span("sim.warmth");
         let warmup_s = self.params.warmup_s;
-        let mut warm_refs: Vec<&mut SimServer> = self.servers.values_mut().collect();
-        simcore::par::for_each_mut(threads, &mut warm_refs, |server| {
+        for server in self.servers.values_mut() {
             if server.state == ServerState::Online {
                 server.warmth += (1.0 - server.warmth) * dt / warmup_s;
                 server.warmth = server.warmth.clamp(0.0, 1.0);
             }
-        });
+        }
         drop(warmth_span);
 
         // 7. Record series and stash metrics.
@@ -1304,89 +1134,52 @@ impl SimCluster {
             }
         }
         drop(series_span);
-        // Cache metrics: per-server updates are computed in parallel into
-        // per-shard buffers, then applied and flushed in server-ID order
-        // under a single registry lock (no per-gauge mutex contention).
+        // Cache metrics: per-server updates in server-ID order, staged in
+        // one buffer and flushed under a single registry lock (no
+        // per-gauge mutex traffic).
         let _cache_span = wallspan::span("sim.cache_metrics");
-        let evals: Vec<(ServerId, ServerEval)> = solution.server_evals.into_iter().collect();
         let telemetry_on = self.telemetry.is_enabled();
-        {
-            let servers_ref = &self.servers;
-            let latency_ref = &solution.server_latency;
-            let ranges = self.layout.item_ranges(evals.iter().map(|(sid, _)| *sid));
-            let evals_ref = &evals;
-            let ranges_ref = &ranges;
-            simcore::par::for_each_shard(&mut self.scratch[..shards], |shard, sc| {
-                sc.cache.clear();
-                sc.metrics.clear();
-                for (sid, eval) in &evals_ref[ranges_ref[shard].clone()] {
-                    let server = &servers_ref[sid];
-                    // Modelled block-cache traffic: the warmth fraction of
-                    // this tick's requests hit the cache, the remainder go
-                    // to disk.
-                    let served = (eval.total_rps * dt).round().max(0.0) as u64;
-                    let hits = ((served as f64) * server.warmth).round() as u64;
-                    let cache_hits = server.cache_hits + hits.min(served);
-                    let cache_misses = server.cache_misses + served.saturating_sub(hits);
-                    let buf = &mut sc.metrics;
-                    if telemetry_on {
-                        let label = sid.0.to_string();
-                        let labels = [("server", label.as_str())];
-                        buf.gauge_set("sim_block_cache_hits", &labels, cache_hits as f64);
-                        buf.gauge_set("sim_block_cache_misses", &labels, cache_misses as f64);
-                        let total = cache_hits + cache_misses;
-                        if total > 0 {
-                            buf.gauge_set(
-                                "sim_block_cache_hit_ratio",
-                                &labels,
-                                cache_hits as f64 / total as f64,
-                            );
-                        }
-                        // Latency digests: current quantiles as gauges, and
-                        // per-tick observations into per-server /
-                        // per-profile histograms whose summaries give the
-                        // run's p50/p95/p99.
-                        if let Some(lat) = latency_ref.get(sid) {
-                            buf.gauge_set("sim_latency_p50_ms", &labels, lat.p50_ms);
-                            buf.gauge_set("sim_latency_p95_ms", &labels, lat.p95_ms);
-                            buf.gauge_set("sim_latency_p99_ms", &labels, lat.p99_ms);
-                            buf.observe("sim_server_latency_ms", &labels, lat.mean_ms);
-                            buf.observe("sim_server_p99_ms", &labels, lat.p99_ms);
-                            let profile = [("profile", profile_label(&server.config))];
-                            buf.observe("sim_profile_p99_ms", &profile, lat.p99_ms);
-                        }
-                    }
-                    sc.cache.push((
-                        *sid,
-                        eval.rho_cpu.min(1.0),
-                        eval.rho_disk.min(1.0),
-                        eval.mem_util,
-                        eval.total_rps,
-                        cache_hits,
-                        cache_misses,
-                    ));
+        let mut metrics = MetricsBuffer::new();
+        for (sid, eval) in &solution.server_evals {
+            let server = self.servers.get_mut(sid).expect("eval for unknown server");
+            // Modelled block-cache traffic: the warmth fraction of this
+            // tick's requests hit the cache, the remainder go to disk.
+            let served = (eval.total_rps * dt).round().max(0.0) as u64;
+            let hits = ((served as f64) * server.warmth).round() as u64;
+            server.cache_hits += hits.min(served);
+            server.cache_misses += served.saturating_sub(hits);
+            server.last_cpu = eval.rho_cpu.min(1.0);
+            server.last_io = eval.rho_disk.min(1.0);
+            server.last_mem = eval.mem_util;
+            server.last_rps = eval.total_rps;
+            if telemetry_on {
+                let label = sid.0.to_string();
+                let labels = [("server", label.as_str())];
+                metrics.gauge_set("sim_block_cache_hits", &labels, server.cache_hits as f64);
+                metrics.gauge_set("sim_block_cache_misses", &labels, server.cache_misses as f64);
+                let total = server.cache_hits + server.cache_misses;
+                if total > 0 {
+                    metrics.gauge_set(
+                        "sim_block_cache_hit_ratio",
+                        &labels,
+                        server.cache_hits as f64 / total as f64,
+                    );
                 }
-            });
-        }
-        // Combine in shard order (= server-ID order): apply the per-server
-        // fields, then flush each shard's staged metrics — the registry
-        // sees the same operation sequence the sequential engine produces.
-        for sc in &mut self.scratch[..shards] {
-            for (sid, cpu, io, mem, rps, cache_hits, cache_misses) in sc.cache.drain(..) {
-                let server = self.servers.get_mut(&sid).expect("eval for unknown server");
-                server.last_cpu = cpu;
-                server.last_io = io;
-                server.last_mem = mem;
-                server.last_rps = rps;
-                server.cache_hits = cache_hits;
-                server.cache_misses = cache_misses;
+                // Latency digests: current quantiles as gauges, and
+                // per-tick observations into per-server / per-profile
+                // histograms whose summaries give the run's p50/p95/p99.
+                if let Some(lat) = solution.server_latency.get(sid) {
+                    metrics.gauge_set("sim_latency_p50_ms", &labels, lat.p50_ms);
+                    metrics.gauge_set("sim_latency_p95_ms", &labels, lat.p95_ms);
+                    metrics.gauge_set("sim_latency_p99_ms", &labels, lat.p99_ms);
+                    metrics.observe("sim_server_latency_ms", &labels, lat.mean_ms);
+                    metrics.observe("sim_server_p99_ms", &labels, lat.p99_ms);
+                    let profile = [("profile", profile_label(&server.config))];
+                    metrics.observe("sim_profile_p99_ms", &profile, lat.p99_ms);
+                }
             }
         }
-        for sc in &self.scratch[..shards] {
-            if !sc.metrics.is_empty() {
-                self.telemetry.flush_buffers(std::slice::from_ref(&sc.metrics));
-            }
-        }
+        self.telemetry.flush_buffer(&metrics);
     }
 
     fn finish_compaction(&mut self, p: PartitionId, sid: ServerId) {
@@ -1489,17 +1282,15 @@ impl SimCluster {
     }
 
     /// Locality index of every assigned partition on its current server,
-    /// in partition-ID order. Computed once per tick (the namenode does
-    /// not change during the equilibrium solve) across the thread pool —
-    /// the per-datanode locality accounting is read-only and
-    /// embarrassingly parallel.
+    /// in partition-ID order. Computed once per tick: the namenode does
+    /// not change during the equilibrium solve.
     fn partition_localities(&self) -> BTreeMap<PartitionId, f64> {
         let queries: Vec<(DataNodeId, &[(DfsFileId, u64)])> = self
             .assignment
             .iter()
             .map(|(p, sid)| (DataNodeId(sid.0), self.partitions[p].files.as_slice()))
             .collect();
-        let values = self.namenode.locality_indices(self.threads, &queries);
+        let values = self.namenode.locality_indices(&queries);
         self.assignment.keys().copied().zip(values).collect()
     }
 
@@ -1588,7 +1379,6 @@ impl SimCluster {
     /// Damped fixed-point solve of the closed-loop equilibrium.
     fn solve_equilibrium(&mut self) -> Equilibrium {
         let _solver_span = wallspan::span("sim.solver");
-        self.refresh_layout();
         let n = self.groups.len();
         let mut x: Vec<f64> = self
             .group_x
@@ -1609,13 +1399,12 @@ impl SimCluster {
         let mut avg: Vec<f64> = vec![0.0; x.len()];
         let mut group_r_ms: Vec<f64> = vec![0.0; x.len()];
         // Locality does not change during the solve: compute the table once
-        // (in parallel) instead of per iteration.
+        // instead of per iteration.
         let localities = {
             let _s = wallspan::span("sim.locality");
             self.partition_localities()
         };
         let group_rates = self.group_rate_tables();
-        let shards = self.layout.shards;
         let mut response: BTreeMap<PartitionId, (f64, f64, f64)> = BTreeMap::new();
         for iter in 0..SOLVER_ITERS {
             // Heavier damping once roughly settled, to kill limit cycles.
@@ -1625,63 +1414,39 @@ impl SimCluster {
                 self.build_demands(&x, &localities, &group_rates)
             };
             server_evals.clear();
-            // Evaluate each server under the current demand — independent
-            // per server. Each shard runs its ID-contiguous slice of the
-            // demand list into its resident scratch; the combine below
-            // walks shards in order, which *is* server-ID order.
-            let entries: Vec<(&ServerId, &Vec<PartitionDemand>)> = demands.iter().collect();
-            let ranges = self.layout.item_ranges(entries.iter().map(|(sid, _)| **sid));
-            let params = &self.params;
-            let servers = &self.servers;
-            let fanout_span = wallspan::span("solver.fanout");
-            let span_ctx = wallspan::current_context();
-            let entries_ref = &entries;
-            let ranges_ref = &ranges;
-            simcore::par::for_each_shard(&mut self.scratch[..shards], |shard, sc| {
-                sc.evals.clear();
-                sc.responses.clear();
-                for (sid, parts) in &entries_ref[ranges_ref[shard].clone()] {
-                    let _eval_span = span_ctx.child_shard("solver.evaluate", sid.0);
-                    let server = &servers[*sid];
-                    if server.state != ServerState::Online {
-                        let pen = params.unavailable_penalty_ms;
-                        sc.responses.extend(parts.iter().map(|d| (d.partition, (pen, pen, pen))));
-                        continue;
-                    }
-                    let background = if server.compaction_backlog.is_empty() {
-                        0.0
-                    } else {
-                        params.compact_mb_s
-                    };
-                    let eval =
-                        evaluate_server(params, &server.config, server.warmth, background, parts);
-                    let (icpu, idisk, ihandler) =
-                        inflation_factors(params, &server.config, parts, &eval);
-                    sc.responses.extend(parts.iter().zip(&eval.per_partition).map(|(d, t)| {
-                        let base = (
-                            (t.read.0 * icpu + t.read.1 * idisk) * ihandler,
-                            (t.write.0 * icpu + t.write.1 * idisk) * ihandler + t.write_stall_ms,
-                            (t.scan.0 * icpu + t.scan.1 * idisk) * ihandler,
-                        );
-                        let pen = if d.unavailable { params.unavailable_penalty_ms } else { 0.0 };
-                        (d.partition, (base.0 + pen, base.1 + pen, base.2 + pen))
-                    }));
-                    sc.evals.push((**sid, eval));
-                }
-            });
-            drop(fanout_span);
-            // Covers the shard-order (= ID-order) combine and the
-            // group-throughput update to the end of the iteration.
-            let _merge_span = wallspan::span("solver.merge");
             response.clear();
-            for sc in &mut self.scratch[..shards] {
-                for &(p, r) in &sc.responses {
-                    response.insert(p, r);
+            // Evaluate each server under the current demand.
+            let fanout_span = wallspan::span("solver.fanout");
+            for (sid, parts) in &demands {
+                let _eval_span = wallspan::span("solver.evaluate");
+                let server = &self.servers[sid];
+                let params = &self.params;
+                if server.state != ServerState::Online {
+                    let pen = params.unavailable_penalty_ms;
+                    response.extend(parts.iter().map(|d| (d.partition, (pen, pen, pen))));
+                    continue;
                 }
-                for (sid, eval) in sc.evals.drain(..) {
-                    server_evals.insert(sid, eval);
-                }
+                let background =
+                    if server.compaction_backlog.is_empty() { 0.0 } else { params.compact_mb_s };
+                let eval =
+                    evaluate_server(params, &server.config, server.warmth, background, parts);
+                let (icpu, idisk, ihandler) =
+                    inflation_factors(params, &server.config, parts, &eval);
+                response.extend(parts.iter().zip(&eval.per_partition).map(|(d, t)| {
+                    let base = (
+                        (t.read.0 * icpu + t.read.1 * idisk) * ihandler,
+                        (t.write.0 * icpu + t.write.1 * idisk) * ihandler + t.write_stall_ms,
+                        (t.scan.0 * icpu + t.scan.1 * idisk) * ihandler,
+                    );
+                    let pen = if d.unavailable { params.unavailable_penalty_ms } else { 0.0 };
+                    (d.partition, (base.0 + pen, base.1 + pen, base.2 + pen))
+                }));
+                server_evals.insert(*sid, eval);
             }
+            drop(fanout_span);
+            // Covers the group-throughput update to the end of the
+            // iteration.
+            let _merge_span = wallspan::span("solver.merge");
 
             // Update each group's throughput.
             for (gi, g) in self.groups.iter().enumerate() {
@@ -1726,44 +1491,26 @@ impl SimCluster {
         // group throughputs are exactly what they were without it.
         let _latency_span = wallspan::span("sim.latency");
         let demands = self.build_demands(&x, &localities, &group_rates);
-        let entries: Vec<(&ServerId, &Vec<PartitionDemand>)> = demands.iter().collect();
-        let ranges = self.layout.item_ranges(entries.iter().map(|(sid, _)| **sid));
         let params = &self.params;
-        let servers = &self.servers;
-        let span_ctx = wallspan::current_context();
-        let entries_ref = &entries;
-        let ranges_ref = &ranges;
-        simcore::par::for_each_shard(&mut self.scratch[..shards], |shard, sc| {
-            sc.latencies.clear();
-            for (sid, parts) in &entries_ref[ranges_ref[shard].clone()] {
-                let _eval_span = span_ctx.child_shard("latency.evaluate", sid.0);
-                let server = &servers[*sid];
-                let summary = if server.state != ServerState::Online {
-                    // Clients still routed here block and retry.
-                    let mut mix = LatencyMixture::new();
-                    let rate: f64 =
-                        parts.iter().map(|d| d.read_rps + d.write_rps + d.scan_rps).sum();
-                    mix.push(rate, params.unavailable_penalty_ms);
-                    mix.summary()
-                } else {
-                    let background = if server.compaction_backlog.is_empty() {
-                        0.0
-                    } else {
-                        params.compact_mb_s
-                    };
-                    let eval =
-                        evaluate_server(params, &server.config, server.warmth, background, parts);
-                    let inflations = inflation_factors(params, &server.config, parts, &eval);
-                    server_mixture(params, parts, &eval, inflations).summary()
-                };
-                sc.latencies.push((**sid, summary));
-            }
-        });
         let mut server_latency: BTreeMap<ServerId, LatencySummary> = BTreeMap::new();
-        for sc in &mut self.scratch[..shards] {
-            for (sid, lat) in sc.latencies.drain(..) {
-                server_latency.insert(sid, lat);
-            }
+        for (sid, parts) in &demands {
+            let _eval_span = wallspan::span("latency.evaluate");
+            let server = &self.servers[sid];
+            let summary = if server.state != ServerState::Online {
+                // Clients still routed here block and retry.
+                let mut mix = LatencyMixture::new();
+                let rate: f64 = parts.iter().map(|d| d.read_rps + d.write_rps + d.scan_rps).sum();
+                mix.push(rate, params.unavailable_penalty_ms);
+                mix.summary()
+            } else {
+                let background =
+                    if server.compaction_backlog.is_empty() { 0.0 } else { params.compact_mb_s };
+                let eval =
+                    evaluate_server(params, &server.config, server.warmth, background, parts);
+                let inflations = inflation_factors(params, &server.config, parts, &eval);
+                server_mixture(params, parts, &eval, inflations).summary()
+            };
+            server_latency.insert(*sid, summary);
         }
         Equilibrium { group_x: x, group_r_ms, server_evals, server_latency }
     }
@@ -1852,7 +1599,7 @@ impl ElasticCluster for SimCluster {
         for (p, s) in &self.assignment {
             by_server.entry(*s).or_default().push(*p);
         }
-        // One batched (parallel) locality pass reused for both the per-server
+        // One batched locality pass reused for both the per-server
         // byte-weighted aggregate and the per-partition metric below.
         let localities = self.partition_localities();
         let servers = self
@@ -2687,58 +2434,6 @@ mod tests {
         let after = sim.online_server_ids();
         assert_eq!(after.len(), before.len() - 1);
         assert!(!after.contains(&before[1]), "the second online server crashed");
-    }
-
-    #[test]
-    fn parallel_engine_matches_sequential() {
-        // The same scenario — solver, compaction drain, warm-up, cache
-        // metrics, admin ops that draw from per-server RNG streams — must
-        // produce bit-identical results at any thread count.
-        let run = |threads: usize| {
-            let mut sim = SimCluster::new(CostParams::default(), 42);
-            sim.set_threads(threads);
-            for _ in 0..4 {
-                sim.add_server_immediate(StoreConfig::default_homogeneous());
-            }
-            let parts: Vec<PartitionId> = (0..8)
-                .map(|_| {
-                    sim.create_partition(PartitionSpec {
-                        table: "t".into(),
-                        size_bytes: 1.5e9,
-                        record_bytes: 1_000.0,
-                        hot_set_fraction: 0.4,
-                        hot_ops_fraction: 0.5,
-                    })
-                })
-                .collect();
-            sim.random_balance_unassigned();
-            let w = 1.0 / parts.len() as f64;
-            sim.add_group(ClientGroup::with_common_weights(
-                "mixed",
-                60.0,
-                0.5,
-                None,
-                OpMix::new(0.45, 0.45, 0.10),
-                parts.iter().map(|p| (*p, w)).collect(),
-                1.0,
-                0.0,
-            ));
-            sim.run_ticks(30);
-            sim.major_compact(parts[0]).unwrap();
-            let added = sim.provision_server(StoreConfig::default_homogeneous()).unwrap();
-            sim.run_ticks(40);
-            sim.move_partition(parts[1], added).unwrap();
-            let victim = sim.online_server_ids()[0];
-            sim.decommission_server(victim).unwrap();
-            sim.run_ticks(30);
-            // Debug-format the snapshot: f64's shortest-round-trip output
-            // means any bit difference shows up in the string.
-            (sim.total_series().points().to_vec(), format!("{:?}", sim.snapshot()))
-        };
-        let (seq_series, seq_snap) = run(1);
-        let (par_series, par_snap) = run(4);
-        assert_eq!(seq_series, par_series, "throughput series diverged across thread counts");
-        assert_eq!(seq_snap, par_snap, "snapshot diverged across thread counts");
     }
 
     #[test]

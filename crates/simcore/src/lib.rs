@@ -14,9 +14,9 @@
 //!   server restarts, compaction completions).
 //! * [`fault`] — deterministic fault injection: seeded [`FaultPlan`]
 //!   scripts consumed through the shared [`FaultInjector`] handle.
-//! * [`par`] — the shared thread pool behind the parallel engine
-//!   (`MET_THREADS`), with order-preserving primitives that keep parallel
-//!   runs bit-identical to sequential ones.
+//! * [`par`] — run-level parallelism: an order-preserving map that fans
+//!   independent simulation runs out over `MET_THREADS` workers, so a
+//!   batch's report is bit-identical to a sequential one.
 //! * [`rng`] — seeded, splittable random-number streams so that every
 //!   experiment is reproducible from a single `u64` seed.
 //! * [`dist`] — the YCSB key-request distributions (uniform, zipfian,

@@ -37,7 +37,7 @@ pub mod span;
 pub use event::{parse_trace, Event, EventKind, Level, TelemetryEvent};
 pub use registry::{HistogramSummary, MetricsBuffer, MetricsRegistry, MetricsSnapshot};
 pub use sink::{JsonlSink, RingBufferSink};
-pub use span::{SpanContext, SpanGuard, SpanRecord, SpanStats};
+pub use span::{SpanGuard, SpanRecord, SpanStats};
 
 use simcore::SimTime;
 use std::sync::{Arc, Mutex};
@@ -241,27 +241,13 @@ impl Telemetry {
     }
 
     /// Applies one buffered batch of metric updates under a single lock
-    /// acquisition. See [`MetricsBuffer`] for the sharded-recording scheme.
+    /// acquisition. See [`MetricsBuffer`].
     pub fn flush_buffer(&self, buf: &MetricsBuffer) {
         if buf.is_empty() {
             return;
         }
         if let Some(inner) = &self.inner {
             inner.lock().unwrap().registry.merge(buf);
-        }
-    }
-
-    /// Applies many buffered batches, in iteration order, under a single
-    /// lock acquisition. Callers pass shard buffers in shard-ID order so the
-    /// merged registry is deterministic.
-    pub fn flush_buffers<'a, I>(&self, buffers: I)
-    where
-        I: IntoIterator<Item = &'a MetricsBuffer>,
-    {
-        let Some(inner) = &self.inner else { return };
-        let mut inner = inner.lock().unwrap();
-        for buf in buffers {
-            inner.registry.merge(buf);
         }
     }
 
@@ -308,18 +294,19 @@ mod tests {
     #[test]
     fn flushed_buffers_land_in_the_registry() {
         let t = Telemetry::new(Verbosity::Off);
-        let mut shard1 = MetricsBuffer::new();
-        shard1.counter_add("hits", &[("server", "1")], 2);
-        let mut shard2 = MetricsBuffer::new();
-        shard2.counter_add("hits", &[("server", "2")], 3);
-        shard2.gauge_set("ratio", &[("server", "2")], 0.75);
-        t.flush_buffers([&shard1, &shard2]);
+        let mut first = MetricsBuffer::new();
+        first.counter_add("hits", &[("server", "1")], 2);
+        let mut second = MetricsBuffer::new();
+        second.counter_add("hits", &[("server", "2")], 3);
+        second.gauge_set("ratio", &[("server", "2")], 0.75);
+        t.flush_buffer(&first);
+        t.flush_buffer(&second);
         assert_eq!(t.counter_total("hits"), 5);
         assert_eq!(t.gauge_value("ratio", &[("server", "2")]), Some(0.75));
 
         // A disabled handle swallows buffers like any other update.
         let off = Telemetry::disabled();
-        off.flush_buffer(&shard1);
+        off.flush_buffer(&first);
         assert_eq!(off.counter_total("hits"), 0);
     }
 

@@ -196,12 +196,9 @@ impl MetricsRegistry {
         self.histograms.get(&MetricKey::new(name, labels)).map(Histogram::summary)
     }
 
-    /// Applies every update buffered in `buf`, in buffer order.
-    ///
-    /// This is the reduction half of the sharded-metrics scheme: parallel
-    /// phases record into private [`MetricsBuffer`]s and the coordinator
-    /// merges them in a fixed (shard-ID) order, so the registry contents are
-    /// identical to what the same updates applied inline would produce.
+    /// Applies every update buffered in `buf`, in buffer order, so the
+    /// registry contents are identical to what the same updates applied
+    /// inline would produce.
     pub fn merge(&mut self, buf: &MetricsBuffer) {
         for (key, op) in &buf.ops {
             match op {
@@ -238,12 +235,12 @@ enum BufferedOp {
 
 /// A private, lock-free staging area for metric updates.
 ///
-/// Parallel simulation shards each own one buffer and record into it without
-/// synchronization; the coordinating thread then flushes all buffers in
-/// shard-ID order under a single registry lock
-/// ([`MetricsRegistry::merge`] / `Telemetry::flush_buffers`). Updates are
-/// replayed in recording order, so a flushed buffer is indistinguishable
-/// from the same calls made directly against the registry.
+/// The simulator records a tick's per-server metrics into one buffer and
+/// flushes it under a single registry lock ([`MetricsRegistry::merge`] /
+/// `Telemetry::flush_buffer`) instead of taking the lock per gauge. Updates
+/// are replayed in recording order, so a flushed buffer is
+/// indistinguishable from the same calls made directly against the
+/// registry.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsBuffer {
     ops: Vec<(MetricKey, BufferedOp)>,
@@ -265,9 +262,8 @@ impl MetricsBuffer {
         self.ops.len()
     }
 
-    /// Drops all buffered updates, keeping the allocation. Long-lived
-    /// shards clear and refill one buffer per tick instead of allocating
-    /// a fresh buffer per server per tick.
+    /// Drops all buffered updates, keeping the allocation, so one buffer
+    /// can be refilled every tick.
     pub fn clear(&mut self) {
         self.ops.clear();
     }
@@ -472,21 +468,21 @@ mod tests {
         direct.observe("lat", &[], 12.0);
         direct.observe("lat", &[], 80.0);
 
-        // Buffered path: two shards flushed in ID order.
-        let mut shard1 = MetricsBuffer::new();
-        shard1.counter_add("hits", &[("server", "1")], 4);
-        shard1.gauge_set("warmth", &[("server", "1")], 0.5);
-        shard1.observe("lat", &[], 12.0);
-        let mut shard2 = MetricsBuffer::new();
-        shard2.counter_add("hits", &[("server", "2")], 6);
-        shard2.gauge_set("warmth", &[("server", "2")], 0.9);
-        shard2.observe("lat", &[], 80.0);
-        assert_eq!(shard1.len(), 3);
-        assert!(!shard2.is_empty());
+        // Buffered path: two buffers merged in order.
+        let mut first = MetricsBuffer::new();
+        first.counter_add("hits", &[("server", "1")], 4);
+        first.gauge_set("warmth", &[("server", "1")], 0.5);
+        first.observe("lat", &[], 12.0);
+        let mut second = MetricsBuffer::new();
+        second.counter_add("hits", &[("server", "2")], 6);
+        second.gauge_set("warmth", &[("server", "2")], 0.9);
+        second.observe("lat", &[], 80.0);
+        assert_eq!(first.len(), 3);
+        assert!(!second.is_empty());
 
         let mut merged = MetricsRegistry::new();
-        merged.merge(&shard1);
-        merged.merge(&shard2);
+        merged.merge(&first);
+        merged.merge(&second);
 
         let a = direct.snapshot();
         let b = merged.snapshot();

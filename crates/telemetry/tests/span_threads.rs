@@ -1,7 +1,6 @@
-//! Span-profiler correctness across `simcore::par` worker threads: the
-//! exact shape the instrumented tick pipeline uses (a coordinator phase
-//! span, a captured [`SpanContext`], per-shard child spans inside the
-//! parallel closure).
+//! Span-profiler correctness across OS threads: every thread records into
+//! its own buffer under its own thread id, nesting follows each thread's
+//! own open span, and [`span::drain`] collects them all.
 
 use std::sync::Mutex;
 use telemetry::span;
@@ -13,45 +12,6 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 #[test]
-fn par_workers_parent_on_the_coordinator_phase_span() {
-    let _l = lock();
-    span::set_enabled(true);
-    span::clear();
-
-    let shards: Vec<u64> = (0..16).collect();
-    let phase_id;
-    {
-        let phase = span::span("solver.fanout");
-        phase_id = phase.id().unwrap();
-        let ctx = span::current_context();
-        let results = simcore::par::map(4, &shards, |&shard| {
-            let _eval = ctx.child_shard("solver.evaluate", shard);
-            shard * 2
-        });
-        assert_eq!(results, shards.iter().map(|s| s * 2).collect::<Vec<_>>());
-    }
-    span::set_enabled(false);
-
-    let records = span::drain();
-    let evals: Vec<_> = records.iter().filter(|r| r.name == "solver.evaluate").collect();
-    assert_eq!(evals.len(), 16);
-    for eval in &evals {
-        assert_eq!(
-            eval.parent,
-            Some(phase_id),
-            "worker-side span must parent on the coordinator's phase span"
-        );
-    }
-    // Every shard label present exactly once.
-    let mut labels: Vec<&str> = evals.iter().map(|r| r.labels[0].1.as_str()).collect();
-    labels.sort_by_key(|s| s.parse::<u64>().unwrap());
-    let expect: Vec<String> = (0..16u64).map(|s| s.to_string()).collect();
-    assert_eq!(labels, expect.iter().map(String::as_str).collect::<Vec<_>>());
-    let phase = records.iter().find(|r| r.name == "solver.fanout").unwrap();
-    assert_eq!(phase.parent, None);
-}
-
-#[test]
 fn spans_on_distinct_os_threads_get_distinct_thread_ids() {
     let _l = lock();
     span::set_enabled(true);
@@ -60,18 +20,14 @@ fn spans_on_distinct_os_threads_get_distinct_thread_ids() {
     {
         let phase = span::span("solver.fanout");
         phase_id = phase.id().unwrap();
-        let ctx = span::current_context();
-        // Explicit threads (not a pool) make the cross-thread case
-        // deterministic: rayon may service a small fan-out entirely on the
-        // coordinator, but these two closures *must* run elsewhere.
         std::thread::scope(|s| {
-            for shard in [100u64, 200] {
+            for server in ["100", "200"] {
                 s.spawn(move || {
-                    let _g = ctx.child_shard("solver.evaluate", shard);
+                    let _g = span::span_labeled("solver.evaluate", &[("server", server)]);
                 });
             }
         });
-        let _local = ctx.child_shard("solver.evaluate", 0);
+        let _local = span::span_labeled("solver.evaluate", &[("server", "0")]);
     }
     span::set_enabled(false);
     let records = span::drain();
@@ -81,38 +37,15 @@ fn spans_on_distinct_os_threads_get_distinct_thread_ids() {
     let mut threads: Vec<u64> = evals.iter().map(|r| r.thread).collect();
     threads.sort_unstable();
     threads.dedup();
-    assert!(threads.len() >= 3, "each OS thread gets its own id, got {threads:?}");
+    assert_eq!(threads.len(), 3, "each OS thread gets its own id, got {threads:?}");
     for eval in &evals {
-        assert_eq!(eval.parent, Some(phase_id));
-        if eval.labels[0].1 != "0" {
+        if eval.labels[0].1 == "0" {
+            assert_eq!(eval.thread, coordinator);
+            assert_eq!(eval.parent, Some(phase_id), "nests under the thread's open span");
+        } else {
             assert_ne!(eval.thread, coordinator, "spawned spans record their own thread id");
+            assert_eq!(eval.parent, None, "a fresh thread has no open span");
         }
-    }
-}
-
-#[test]
-fn sequential_fanout_still_nests_via_context() {
-    let _l = lock();
-    span::set_enabled(true);
-    span::clear();
-    let shards: Vec<u64> = (0..4).collect();
-    {
-        let _phase = span::span("solver.fanout");
-        let ctx = span::current_context();
-        // threads = 1: par::map degrades to a plain loop on this thread.
-        let _ = simcore::par::map(1, &shards, |&shard| {
-            let _eval = ctx.child_shard("solver.evaluate", shard);
-            shard
-        });
-    }
-    span::set_enabled(false);
-    let records = span::drain();
-    let phase_id = records.iter().find(|r| r.name == "solver.fanout").unwrap().id;
-    let evals: Vec<_> = records.iter().filter(|r| r.name == "solver.evaluate").collect();
-    assert_eq!(evals.len(), 4);
-    for e in &evals {
-        assert_eq!(e.parent, Some(phase_id));
-        assert_eq!(e.thread, records.iter().find(|r| r.name == "solver.fanout").unwrap().thread);
     }
 }
 
@@ -139,46 +72,52 @@ fn disabled_profiler_is_a_no_op_even_across_threads() {
     let _l = lock();
     span::set_enabled(false);
     span::clear();
-    let ctx = span::current_context();
-    let items: Vec<u64> = (0..32).collect();
-    let _ = simcore::par::map(4, &items, |&i| {
-        let _g = ctx.child_shard("noop", i);
-        i
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                let _outer = span::span("noop");
+                let _inner = span::span_labeled("noop.inner", &[("k", "v")]);
+            });
+        }
     });
     assert!(span::drain().is_empty());
 }
 
 #[test]
-fn chrome_trace_from_a_parallel_run_is_loadable() {
+fn chrome_trace_from_a_multi_thread_run_is_loadable() {
     let _l = lock();
     span::set_enabled(true);
     span::clear();
-    let shards: Vec<u64> = (0..8).collect();
-    {
-        let _tick = span::span("sim.tick");
-        let ctx = span::current_context();
-        let _ = simcore::par::map(2, &shards, |&s| {
-            let _g = ctx.child_shard("solver.evaluate", s);
-            s
-        });
-    }
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let _tick = span::span("sim.tick");
+                for _ in 0..4 {
+                    let _g = span::span("solver.evaluate");
+                }
+            });
+        }
+    });
     span::set_enabled(false);
     let records = span::drain();
+    assert_eq!(records.len(), 10);
     let json = span::chrome_trace(&records);
     let v: serde_json::Value =
         serde_json::from_str(&json).expect("chrome trace must be valid JSON");
     let events = v["traceEvents"].as_array().expect("traceEvents array");
     assert_eq!(events.len(), records.len());
     let mut ids = std::collections::BTreeSet::new();
+    let mut tids = std::collections::BTreeSet::new();
     for e in events {
         assert_eq!(e["ph"].as_str(), Some("X"), "complete events");
         assert!(e["ts"].as_u64().is_some());
         assert!(e["dur"].as_u64().is_some());
         assert!(e["pid"].as_u64().is_some());
-        assert!(e["tid"].as_u64().is_some());
+        tids.insert(e["tid"].as_u64().expect("tid"));
         assert!(e["name"].as_str().is_some());
         ids.insert(e["args"]["id"].as_u64().unwrap());
     }
+    assert_eq!(tids.len(), 2, "one tid per recording thread");
     // Parent references resolve within the trace.
     for e in events {
         if let Some(p) = e["args"].get("parent").and_then(|p| p.as_u64()) {
