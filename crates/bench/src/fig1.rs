@@ -86,11 +86,16 @@ pub(crate) fn apply_placement(
 /// do the same: each candidate is a load-balanced (shuffled-LPT) placement,
 /// evaluated with a short measurement run; the winner is returned.
 ///
+/// The candidates' trial runs are independent simulations, so they fan out
+/// over `MET_THREADS` workers ([`simcore::par::map`]). The winner is picked
+/// by a strict `>` fold in candidate order (the first of equals wins), so
+/// it is the same at any worker count.
+///
 /// Partition ids are deterministic per seed, so a placement found in a
 /// scratch run applies verbatim to the real run.
 pub fn manual_homog_best_placement(seed: u64) -> Vec<Vec<PartitionId>> {
-    let mut best: Option<(f64, Vec<Vec<PartitionId>>)> = None;
-    for candidate in 0..MANUAL_SEARCH_CANDIDATES as u64 {
+    let candidates: Vec<u64> = (0..MANUAL_SEARCH_CANDIDATES as u64).collect();
+    let trials = simcore::par::map(simcore::par::met_threads(), &candidates, |&candidate| {
         let mut scenario = ycsb_scenario(seed);
         let parts = scenario.loaded_partitions();
         let mut rng = SimRng::new(seed).derive("manual-homog-search").derive_idx(candidate);
@@ -104,6 +109,10 @@ pub fn manual_homog_best_placement(seed: u64) -> Vec<Vec<PartitionId>> {
             .total_series()
             .mean_between(SimTime::from_mins(3), SimTime::from_mins(5))
             .unwrap_or(0.0);
+        (total, placement)
+    });
+    let mut best: Option<(f64, Vec<Vec<PartitionId>>)> = None;
+    for (total, placement) in trials {
         if best.as_ref().map(|(b, _)| total > *b).unwrap_or(true) {
             best = Some((total, placement));
         }

@@ -10,6 +10,15 @@ use met_bench::trace::{
 };
 use simcore::{FaultPlan, FaultSpec, ScheduledFault, SimTime};
 
+/// The span profiler's switch and record buffers are process-global, and
+/// the test harness runs tests on parallel threads: every test that arms
+/// the profiler holds this lock, so one test's `set_enabled(false)` and
+/// `drain()` cannot cut short or take another's spans.
+fn profiler_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn assert_identical(name: &str, a: &TracedRun, b: &TracedRun) {
     assert!(!a.trace.is_empty(), "{name}: the run produced no events");
     assert_eq!(a.trace, b.trace, "{name}: telemetry trace diverged");
@@ -21,6 +30,7 @@ fn fig4_trace_is_unchanged_by_profiling() {
     // The span profiler is wall-clock and must be trace-invisible: arming
     // it changes nothing in the JSONL trace or the final layout. (Spans
     // never touch telemetry sinks; the drained records are discarded.)
+    let _profiler = profiler_lock();
     let baseline = traced_fig4(1_000, 4);
     telemetry::span::set_enabled(true);
     let profiled = traced_fig4(1_000, 4);
@@ -34,6 +44,7 @@ fn fig4_trace_is_unchanged_by_profiling() {
 fn chaos_trace_is_unchanged_by_profiling() {
     // Same invisibility claim under faults: crashes, provision failures
     // and the healer's re-homing all run with spans armed.
+    let _profiler = profiler_lock();
     let baseline = traced_chaos(1_000, 6);
     telemetry::span::set_enabled(true);
     let profiled = traced_chaos(1_000, 6);

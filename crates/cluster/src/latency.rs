@@ -73,9 +73,8 @@ impl LatencyMixture {
         self.components.iter().map(|(wi, mi)| wi * mi).sum::<f64>() / w
     }
 
-    /// `P(T ≤ t)` for the mixture.
-    fn cdf(&self, t_ms: f64) -> f64 {
-        let w = self.total_weight();
+    /// `P(T ≤ t)` for the mixture whose total weight is `w`.
+    fn cdf(&self, t_ms: f64, w: f64) -> f64 {
         if w <= 0.0 {
             return 1.0;
         }
@@ -85,19 +84,24 @@ impl LatencyMixture {
     /// The `q`-quantile (e.g. `0.99`) by bisection on the CDF.
     ///
     /// Deterministic: pure float math over the components in insertion
-    /// order, a doubling search for an upper bracket, then a fixed number
-    /// of bisection steps.
+    /// order, a doubling search for an upper bracket, then at most 64
+    /// bisection steps. Bisection stops at the first step that leaves
+    /// `(lo, hi)` unchanged (the midpoint rounds onto one end): that state
+    /// is a fixed point, since every later step would compute the same
+    /// midpoint and the same CDF value, so the result is bit-identical to
+    /// running all 64 steps.
     pub fn quantile_ms(&self, q: f64) -> f64 {
         if self.components.is_empty() {
             return 0.0;
         }
         let q = q.clamp(0.0, 0.999_999);
+        let w = self.total_weight();
         // Bracket: the slowest component bounds how far the tail can reach;
         // double until the CDF crosses q (terminates: cdf → 1).
         let max_mean = self.components.iter().map(|(_, m)| *m).fold(0.0, f64::max);
         let mut hi = (max_mean * -(1.0 - q).ln()).max(1e-9);
         for _ in 0..64 {
-            if self.cdf(hi) >= q {
+            if self.cdf(hi, w) >= q {
                 break;
             }
             hi *= 2.0;
@@ -105,11 +109,11 @@ impl LatencyMixture {
         let mut lo = 0.0;
         for _ in 0..64 {
             let mid = 0.5 * (lo + hi);
-            if self.cdf(mid) < q {
-                lo = mid;
-            } else {
-                hi = mid;
+            let (next_lo, next_hi) = if self.cdf(mid, w) < q { (mid, hi) } else { (lo, mid) };
+            if next_lo.to_bits() == lo.to_bits() && next_hi.to_bits() == hi.to_bits() {
+                break;
             }
+            (lo, hi) = (next_lo, next_hi);
         }
         0.5 * (lo + hi)
     }
@@ -175,6 +179,7 @@ pub fn profile_label(config: &StoreConfig) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn single(mean: f64) -> LatencyMixture {
         let mut m = LatencyMixture::new();
@@ -266,5 +271,59 @@ mod tests {
         cfg.memstore_fraction = 0.55;
         assert_eq!(profile_label(&cfg), "write");
         assert_eq!(profile_label(&StoreConfig::default_homogeneous()), "balanced");
+    }
+
+    /// `quantile_ms` without the fixed-point stop: the total weight summed
+    /// inside every CDF call, up to 64 doublings, then all 64 bisection
+    /// steps.
+    fn full_bisection_quantile(components: &[(f64, f64)], q: f64) -> f64 {
+        let cdf = |t_ms: f64| {
+            let w: f64 = components.iter().map(|(w, _)| w).sum();
+            if w <= 0.0 {
+                return 1.0;
+            }
+            components.iter().map(|(wi, mi)| wi * (1.0 - (-t_ms / mi).exp())).sum::<f64>() / w
+        };
+        let q = q.clamp(0.0, 0.999_999);
+        let max_mean = components.iter().map(|(_, m)| *m).fold(0.0, f64::max);
+        let mut hi = (max_mean * -(1.0 - q).ln()).max(1e-9);
+        for _ in 0..64 {
+            if cdf(hi) >= q {
+                break;
+            }
+            hi *= 2.0;
+        }
+        let mut lo = 0.0;
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if cdf(mid) < q {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// Log-uniform in `[1e-3, 1e4)`.
+    fn magnitude() -> impl Strategy<Value = f64> {
+        (-3.0..4.0f64).prop_map(|e| 10f64.powf(e))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn fixed_point_stop_matches_full_bisection(
+            components in proptest::collection::vec((magnitude(), magnitude()), 1..41),
+            q in prop_oneof![Just(0.5), Just(0.95), Just(0.99), 0.0..1.0f64],
+        ) {
+            let mut m = LatencyMixture::new();
+            for &(w, mean) in &components {
+                m.push(w, mean);
+            }
+            let want = full_bisection_quantile(&components, q);
+            prop_assert_eq!(m.quantile_ms(q).to_bits(), want.to_bits());
+        }
     }
 }

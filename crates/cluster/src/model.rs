@@ -304,15 +304,7 @@ pub fn evaluate_server(
     let total_data: f64 =
         parts.iter().filter(|p| p.read_rps > 0.0 || p.scan_rps > 0.0).map(|p| p.data_bytes).sum();
     let uniform_coverage = if total_data > 0.0 { (cache_bytes / total_data).min(1.0) } else { 1.0 };
-    let hits: Vec<(f64, f64)> = cache_hit_ratios(cache_bytes, parts)
-        .into_iter()
-        .map(|(r, sc)| {
-            (
-                calm * r + (1.0 - calm) * uniform_coverage,
-                sc * (calm + (1.0 - calm) * uniform_coverage),
-            )
-        })
-        .collect();
+    let ideal_hits = cache_hit_ratios(cache_bytes, parts);
 
     let block_mb = config.block_size as f64 / 1e6;
     let block_io_ms = params.disk_seek_ms + block_mb / params.disk_bw_mb_s * 1_000.0;
@@ -341,7 +333,9 @@ pub fn evaluate_server(
     let mut total_rps = 0.0;
     let mut write_byte_rate = 0.0;
 
-    for (p, &(hit, scan_hit)) in parts.iter().zip(&hits) {
+    for (p, &(ideal, ideal_scan)) in parts.iter().zip(&ideal_hits) {
+        let hit = calm * ideal + (1.0 - calm) * uniform_coverage;
+        let scan_hit = ideal_scan * (calm + (1.0 - calm) * uniform_coverage);
         let miss = 1.0 - hit;
         let scan_miss = 1.0 - scan_hit;
         let remote_frac = 1.0 - p.locality.clamp(0.0, 1.0);

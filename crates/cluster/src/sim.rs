@@ -33,7 +33,8 @@ use dfs::{DataNodeId, DfsFileId, Namenode};
 use hstore::StoreConfig;
 use simcore::timeseries::TimeSeries;
 use simcore::{FaultInjector, FaultOp, ProvisionFault, SimDuration, SimRng, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 use telemetry::{span as wallspan, MetricsBuffer, Telemetry, TelemetryEvent};
 
 /// Fixed-point iterations per tick.
@@ -962,7 +963,7 @@ impl SimCluster {
                 continue;
             }
             let x = solution.group_x[gi];
-            for (p, (r, w, s)) in g.per_partition_rates() {
+            for &(p, (r, w, s)) in &solution.group_rates[gi] {
                 let e = per_partition.entry(p).or_insert((0.0, 0.0, 0.0, 0.0));
                 e.0 += x * r;
                 e.1 += x * w;
@@ -1314,66 +1315,75 @@ impl SimCluster {
             .collect()
     }
 
-    /// Builds the per-server demand vectors for a given group-throughput
-    /// estimate. Returns `(server → (partition list, demand list))` plus the
-    /// set of unavailable partitions. `locality` is the per-tick table from
-    /// [`SimCluster::partition_localities`].
-    fn build_demands(
+    /// Lays out the tick's equilibrium solve (see [`SolvePlan`]). Every
+    /// input is fixed for the whole solve: the assignment, the partitions'
+    /// static fields, `locality` (from [`SimCluster::partition_localities`])
+    /// and the group rate tables.
+    fn solve_plan(
         &self,
-        group_x: &[f64],
         locality: &BTreeMap<PartitionId, f64>,
         group_rates: &[GroupRateTable],
-    ) -> BTreeMap<ServerId, Vec<PartitionDemand>> {
-        let mut rates: BTreeMap<PartitionId, (f64, f64, f64, f64, f64)> = BTreeMap::new();
-        for (gi, g) in self.groups.iter().enumerate() {
-            if !g.active {
-                continue;
-            }
-            let x = group_x[gi];
-            for &(p, (r, w, s)) in &group_rates[gi] {
-                let e = rates.entry(p).or_insert((0.0, 0.0, 0.0, 0.0, 1.0));
-                e.0 += x * r;
-                let write_rate = x * w;
-                // Write-rate-weighted batching factor across groups.
-                e.4 = if e.1 + write_rate > 0.0 {
-                    (e.4 * e.1 + g.write_cpu_factor * write_rate) / (e.1 + write_rate)
-                } else {
-                    e.4
-                };
-                e.1 += write_rate;
-                let scan_rate = x * s;
-                // Weighted average scan length across groups.
-                e.3 = if e.2 + scan_rate > 0.0 {
-                    (e.3 * e.2 + g.scan_rows * scan_rate) / (e.2 + scan_rate)
-                } else {
-                    e.3
-                };
-                e.2 += scan_rate;
+    ) -> SolvePlan {
+        // Members: assigned partitions some active group sends traffic to
+        // (inactive groups have empty tables), grouped by server.
+        let mut by_server: BTreeMap<ServerId, Vec<PartitionId>> = BTreeMap::new();
+        let members: BTreeSet<PartitionId> =
+            group_rates.iter().flatten().map(|(p, _)| *p).collect();
+        for p in members {
+            if let Some(sid) = self.assignment.get(&p) {
+                by_server.entry(*sid).or_default().push(p);
             }
         }
-        let mut by_server: BTreeMap<ServerId, Vec<PartitionDemand>> = BTreeMap::new();
-        for (p, (r, w, s, rows, wf)) in rates {
-            let Some(sid) = self.assignment.get(&p) else { continue };
-            let part = &self.partitions[&p];
-            let locality =
-                locality.get(&p).copied().expect("locality precomputed for assigned partition");
-            let unavailable = part.moving_until.map(|t| t > self.now).unwrap_or(false);
-            by_server.entry(*sid).or_default().push(PartitionDemand {
-                partition: p,
-                read_rps: r,
-                write_rps: w,
-                scan_rps: s,
-                scan_rows: rows.max(1.0),
-                record_bytes: part.record_bytes,
-                data_bytes: part.size_bytes,
-                hot_set_fraction: part.hot_set_fraction,
-                hot_ops_fraction: part.hot_ops_fraction,
-                locality,
-                unavailable,
-                write_cpu_factor: wf,
-            });
+        let mut demands = Vec::new();
+        let mut servers = Vec::with_capacity(by_server.len());
+        let mut slot_of: BTreeMap<PartitionId, usize> = BTreeMap::new();
+        for (sid, parts) in by_server {
+            let first = demands.len();
+            for p in parts {
+                let part = &self.partitions[&p];
+                slot_of.insert(p, demands.len());
+                demands.push(PartitionDemand {
+                    partition: p,
+                    read_rps: 0.0,
+                    write_rps: 0.0,
+                    scan_rps: 0.0,
+                    scan_rows: 0.0,
+                    record_bytes: part.record_bytes,
+                    data_bytes: part.size_bytes,
+                    hot_set_fraction: part.hot_set_fraction,
+                    hot_ops_fraction: part.hot_ops_fraction,
+                    locality: locality
+                        .get(&p)
+                        .copied()
+                        .expect("locality precomputed for assigned partition"),
+                    unavailable: part.moving_until.map(|t| t > self.now).unwrap_or(false),
+                    write_cpu_factor: 1.0,
+                });
+            }
+            servers.push((sid, first..demands.len()));
         }
-        by_server
+        let unavailable = demands.len();
+        let resolve = |weights: &[(PartitionId, f64)]| -> Vec<(usize, f64)> {
+            weights
+                .iter()
+                .map(|(p, w)| (slot_of.get(p).copied().unwrap_or(unavailable), *w))
+                .collect()
+        };
+        let groups = self
+            .groups
+            .iter()
+            .zip(group_rates)
+            .map(|(g, table)| PlanGroup {
+                rows: table
+                    .iter()
+                    .filter_map(|(p, rates)| slot_of.get(p).map(|&s| (s, *rates)))
+                    .collect(),
+                read: resolve(&g.read_weights),
+                write: resolve(&g.write_weights),
+                scan: resolve(&g.scan_weights),
+            })
+            .collect();
+        SolvePlan { demands, servers, groups }
     }
 
     /// Damped fixed-point solve of the closed-loop equilibrium.
@@ -1395,7 +1405,6 @@ impl SimCluster {
             })
             .collect();
 
-        let mut server_evals: BTreeMap<ServerId, ServerEval> = BTreeMap::new();
         let mut avg: Vec<f64> = vec![0.0; x.len()];
         let mut group_r_ms: Vec<f64> = vec![0.0; x.len()];
         // Locality does not change during the solve: compute the table once
@@ -1405,43 +1414,52 @@ impl SimCluster {
             self.partition_localities()
         };
         let group_rates = self.group_rate_tables();
-        let mut response: BTreeMap<PartitionId, (f64, f64, f64)> = BTreeMap::new();
+        let mut plan = self.solve_plan(&localities, &group_rates);
+        let pen = self.params.unavailable_penalty_ms;
+        // Per-slot (read, write, scan) response times; the extra last slot
+        // is what a weight on an unassigned partition resolves to.
+        let mut response = vec![(pen, pen, pen); plan.demands.len() + 1];
+        // Each plan server's state, looked up once for the whole solve.
+        let hosts: Vec<&SimServer> =
+            plan.servers.iter().map(|(sid, _)| &self.servers[sid]).collect();
+        let mut last_evals: Vec<(ServerId, ServerEval)> = Vec::new();
         for iter in 0..SOLVER_ITERS {
             // Heavier damping once roughly settled, to kill limit cycles.
             let damping = if iter < SOLVER_ITERS / 2 { 0.35 } else { 0.15 };
-            let demands = {
+            {
                 let _s = wallspan::span("solver.demands");
-                self.build_demands(&x, &localities, &group_rates)
-            };
-            server_evals.clear();
-            response.clear();
+                plan.fill_rates(&self.groups, &x);
+            }
             // Evaluate each server under the current demand.
             let fanout_span = wallspan::span("solver.fanout");
-            for (sid, parts) in &demands {
+            for ((sid, range), server) in plan.servers.iter().zip(&hosts) {
                 let _eval_span = wallspan::span("solver.evaluate");
-                let server = &self.servers[sid];
                 let params = &self.params;
                 if server.state != ServerState::Online {
-                    let pen = params.unavailable_penalty_ms;
-                    response.extend(parts.iter().map(|d| (d.partition, (pen, pen, pen))));
+                    response[range.clone()].fill((pen, pen, pen));
                     continue;
                 }
+                let parts = &plan.demands[range.clone()];
                 let background =
                     if server.compaction_backlog.is_empty() { 0.0 } else { params.compact_mb_s };
                 let eval =
                     evaluate_server(params, &server.config, server.warmth, background, parts);
                 let (icpu, idisk, ihandler) =
                     inflation_factors(params, &server.config, parts, &eval);
-                response.extend(parts.iter().zip(&eval.per_partition).map(|(d, t)| {
+                for ((r, d), t) in
+                    response[range.clone()].iter_mut().zip(parts).zip(&eval.per_partition)
+                {
                     let base = (
                         (t.read.0 * icpu + t.read.1 * idisk) * ihandler,
                         (t.write.0 * icpu + t.write.1 * idisk) * ihandler + t.write_stall_ms,
                         (t.scan.0 * icpu + t.scan.1 * idisk) * ihandler,
                     );
-                    let pen = if d.unavailable { params.unavailable_penalty_ms } else { 0.0 };
-                    (d.partition, (base.0 + pen, base.1 + pen, base.2 + pen))
-                }));
-                server_evals.insert(*sid, eval);
+                    let outage = if d.unavailable { pen } else { 0.0 };
+                    *r = (base.0 + outage, base.1 + outage, base.2 + outage);
+                }
+                if iter == SOLVER_ITERS - 1 {
+                    last_evals.push((*sid, eval));
+                }
             }
             drop(fanout_span);
             // Covers the group-throughput update to the end of the
@@ -1449,24 +1467,20 @@ impl SimCluster {
             let _merge_span = wallspan::span("solver.merge");
 
             // Update each group's throughput.
-            for (gi, g) in self.groups.iter().enumerate() {
+            for ((gi, g), pg) in self.groups.iter().enumerate().zip(&plan.groups) {
                 if !g.active {
                     x[gi] = 0.0;
                     continue;
                 }
                 let mut r_ms = g.think_ms;
-                let pen = self.params.unavailable_penalty_ms;
-                for &(p, w) in &g.read_weights {
-                    let (rr, _, _) = response.get(&p).copied().unwrap_or((pen, pen, pen));
-                    r_ms += g.mix.read * w * rr;
+                for &(s, w) in &pg.read {
+                    r_ms += g.mix.read * w * response[s].0;
                 }
-                for &(p, w) in &g.write_weights {
-                    let (_, rw, _) = response.get(&p).copied().unwrap_or((pen, pen, pen));
-                    r_ms += g.mix.write * w * rw;
+                for &(s, w) in &pg.write {
+                    r_ms += g.mix.write * w * response[s].1;
                 }
-                for &(p, w) in &g.scan_weights {
-                    let (_, _, rs) = response.get(&p).copied().unwrap_or((pen, pen, pen));
-                    r_ms += g.mix.scan * w * rs;
+                for &(s, w) in &pg.scan {
+                    r_ms += g.mix.scan * w * response[s].2;
                 }
                 group_r_ms[gi] = r_ms;
                 let mut target = g.threads / (r_ms / 1_000.0);
@@ -1482,20 +1496,17 @@ impl SimCluster {
             }
         }
         let x = avg;
-        for (gi, v) in x.iter().enumerate().take(n) {
-            self.group_x[gi] = *v;
-        }
         // Reporting pass at the settled equilibrium: one more per-server
         // evaluation at the cycle-averaged rates to build each server's
         // response-time mixture. Nothing here feeds back into `x`, so
         // group throughputs are exactly what they were without it.
         let _latency_span = wallspan::span("sim.latency");
-        let demands = self.build_demands(&x, &localities, &group_rates);
+        plan.fill_rates(&self.groups, &x);
         let params = &self.params;
         let mut server_latency: BTreeMap<ServerId, LatencySummary> = BTreeMap::new();
-        for (sid, parts) in &demands {
+        for ((sid, range), server) in plan.servers.iter().zip(&hosts) {
             let _eval_span = wallspan::span("latency.evaluate");
-            let server = &self.servers[sid];
+            let parts = &plan.demands[range.clone()];
             let summary = if server.state != ServerState::Online {
                 // Clients still routed here block and retry.
                 let mut mix = LatencyMixture::new();
@@ -1512,7 +1523,90 @@ impl SimCluster {
             };
             server_latency.insert(*sid, summary);
         }
-        Equilibrium { group_x: x, group_r_ms, server_evals, server_latency }
+        for (gi, v) in x.iter().enumerate().take(n) {
+            self.group_x[gi] = *v;
+        }
+        Equilibrium {
+            group_x: x,
+            group_r_ms,
+            group_rates,
+            server_evals: last_evals,
+            server_latency,
+        }
+    }
+}
+
+/// One tick's equilibrium solve, laid out once so that the 48 fixed-point
+/// iterations touch only dense vectors: no map is built or searched inside
+/// the loop.
+///
+/// A *slot* is an index into `demands`. Each member partition (assigned,
+/// and in some active group's rate table) has one, grouped by server in
+/// `ServerId` order and by `PartitionId` within a server. The static
+/// demand fields are filled when the plan is built; only the five rate
+/// fields change per iteration.
+struct SolvePlan {
+    demands: Vec<PartitionDemand>,
+    /// Servers with demand, in `ServerId` order, and their slots.
+    servers: Vec<(ServerId, Range<usize>)>,
+    /// Per group, in group order.
+    groups: Vec<PlanGroup>,
+}
+
+/// A group's rate rows and weights with partitions resolved to slots. A
+/// weight on an unassigned partition resolves to `demands.len()`, the
+/// unavailable-penalty slot; rate rows for unassigned partitions are
+/// dropped (they never reached a server).
+struct PlanGroup {
+    /// `(slot, (read, write, scan))` per unit of group throughput, in
+    /// `PartitionId` order; empty for an inactive group.
+    rows: Vec<(usize, (f64, f64, f64))>,
+    read: Vec<(usize, f64)>,
+    write: Vec<(usize, f64)>,
+    scan: Vec<(usize, f64)>,
+}
+
+impl SolvePlan {
+    /// Recomputes every slot's rates for group throughputs `x`: groups
+    /// accumulate in group order from `(0, 0, 0, 0, 1.0)`, with scan length
+    /// and write batching as rate-weighted averages across groups.
+    fn fill_rates(&mut self, groups: &[ClientGroup], x: &[f64]) {
+        for d in &mut self.demands {
+            d.read_rps = 0.0;
+            d.write_rps = 0.0;
+            d.scan_rps = 0.0;
+            d.scan_rows = 0.0;
+            d.write_cpu_factor = 1.0;
+        }
+        for ((g, pg), &x) in groups.iter().zip(&self.groups).zip(x) {
+            if !g.active {
+                continue;
+            }
+            for &(slot, (r, w, s)) in &pg.rows {
+                let d = &mut self.demands[slot];
+                d.read_rps += x * r;
+                let write_rate = x * w;
+                // Write-rate-weighted batching factor across groups.
+                d.write_cpu_factor = if d.write_rps + write_rate > 0.0 {
+                    (d.write_cpu_factor * d.write_rps + g.write_cpu_factor * write_rate)
+                        / (d.write_rps + write_rate)
+                } else {
+                    d.write_cpu_factor
+                };
+                d.write_rps += write_rate;
+                let scan_rate = x * s;
+                // Weighted average scan length across groups.
+                d.scan_rows = if d.scan_rps + scan_rate > 0.0 {
+                    (d.scan_rows * d.scan_rps + g.scan_rows * scan_rate) / (d.scan_rps + scan_rate)
+                } else {
+                    d.scan_rows
+                };
+                d.scan_rps += scan_rate;
+            }
+        }
+        for d in &mut self.demands {
+            d.scan_rows = d.scan_rows.max(1.0);
+        }
     }
 }
 
@@ -1585,7 +1679,11 @@ fn server_mixture(
 struct Equilibrium {
     group_x: Vec<f64>,
     group_r_ms: Vec<f64>,
-    server_evals: BTreeMap<ServerId, ServerEval>,
+    /// The tick's per-group rate tables, reused by the integrate phase.
+    group_rates: Vec<GroupRateTable>,
+    /// The last iteration's evaluation of each online server with demand,
+    /// in `ServerId` order.
+    server_evals: Vec<(ServerId, ServerEval)>,
     server_latency: BTreeMap<ServerId, LatencySummary>,
 }
 
@@ -2454,5 +2552,182 @@ mod tests {
         assert_eq!(snap.server(id).unwrap().health, ServerHealth::Provisioning, "3x slower");
         sim.run_ticks(20);
         assert_eq!(sim.snapshot().server(id).unwrap().health, ServerHealth::Online);
+    }
+
+    /// What [`solver_results_are_pinned_bit_for_bit`] compares, as IEEE-754
+    /// bits (hex in the failure message).
+    #[derive(Debug, PartialEq)]
+    struct SolverPin {
+        total: Vec<u64>,
+        group_r_ms: Vec<u64>,
+        // (mean, p50, p95, p99) of the probe server's last tick.
+        latency: [u64; 4],
+        // (cpu, io, mem, rps) of the probe server's last tick.
+        utilization: [u64; 4],
+        // (reads, writes, scans, size bits) per partition.
+        partitions: Vec<(u64, u64, u64, u64)>,
+    }
+
+    /// A small cluster that takes every branch of the equilibrium solve: a
+    /// restarting server, a moving partition, compaction backlogs, a group
+    /// that is inactive and later turns on, a weight on an unassigned
+    /// partition, a `target_rate` cap, and two groups that write and scan
+    /// the same partitions with different batching and scan lengths.
+    fn solver_pin_run() -> SolverPin {
+        let (mut sim, parts) = basic_cluster(3, 61);
+        let orphan = sim.create_partition(PartitionSpec {
+            table: "t".into(),
+            size_bytes: 0.8e9,
+            record_bytes: 500.0,
+            hot_set_fraction: 0.2,
+            hot_ops_fraction: 0.7,
+        });
+        let mut all = parts.clone();
+        all.push(orphan);
+        let spread = [0.3, 0.25, 0.2, 0.15, 0.1];
+        let mut mixed = ClientGroup::with_common_weights(
+            "mixed",
+            40.0,
+            0.5,
+            None,
+            OpMix::new(0.5, 0.3, 0.2),
+            all.iter().zip(spread).map(|(p, w)| (*p, w)).collect(),
+            30.0,
+            0.4,
+        );
+        mixed.write_cpu_factor = 0.4;
+        let capped = ClientGroup::with_common_weights(
+            "capped",
+            60.0,
+            1.0,
+            Some(900.0),
+            OpMix::new(0.6, 0.25, 0.15),
+            parts[..3].iter().zip([0.5, 0.3, 0.2]).map(|(p, w)| (*p, w)).collect(),
+            5.0,
+            0.0,
+        );
+        let idle = ClientGroup::with_common_weights(
+            "idle",
+            30.0,
+            0.5,
+            None,
+            OpMix::write_only(),
+            parts[2..].iter().map(|p| (*p, 0.5)).collect(),
+            1.0,
+            1.0,
+        );
+        sim.add_group(mixed);
+        sim.add_group(capped);
+        sim.add_group(idle);
+        sim.set_group_active("idle", false);
+        sim.run_ticks(6);
+        for p in &parts {
+            let _ = sim.major_compact(*p);
+        }
+        sim.run_ticks(4);
+        let victim = sim.partition_server(parts[0]).unwrap();
+        sim.restart_server(victim, StoreConfig::default_homogeneous()).unwrap();
+        let from = sim.partition_server(parts[1]).unwrap();
+        let to = sim.online_server_ids().into_iter().find(|s| *s != from).unwrap();
+        sim.move_partition(parts[1], to).unwrap();
+        sim.run_ticks(10);
+        sim.set_group_active("idle", true);
+        sim.run_ticks(20);
+
+        let probe = &sim.servers[&sim.partition_server(parts[2]).unwrap()];
+        assert_eq!(probe.state, ServerState::Online);
+        let lat = probe.last_latency;
+        SolverPin {
+            total: sim.total_series().points().iter().map(|(_, v)| v.to_bits()).collect(),
+            group_r_ms: ["mixed", "capped", "idle"]
+                .iter()
+                .map(|g| sim.group_latency_ms(g).unwrap().points().last().unwrap().1.to_bits())
+                .collect(),
+            latency: [lat.mean_ms, lat.p50_ms, lat.p95_ms, lat.p99_ms].map(f64::to_bits),
+            utilization: [probe.last_cpu, probe.last_io, probe.last_mem, probe.last_rps]
+                .map(f64::to_bits),
+            partitions: sim
+                .partitions
+                .values()
+                .map(|p| {
+                    let c = p.counters;
+                    (c.reads, c.writes, c.scans, p.size_bytes.to_bits())
+                })
+                .collect(),
+        }
+    }
+
+    /// Pins the solver's floating-point results bit for bit: any change to
+    /// the order or operands of the solve's float ops shows here. The
+    /// constants were recorded by running `solver_pin_run` at commit
+    /// 329e767.
+    #[test]
+    fn solver_results_are_pinned_bit_for_bit() {
+        let expect = SolverPin {
+            total: vec![
+                0x4092f818157ff2f4,
+                0x4092fabc081a9ff0,
+                0x4092fd29fc1a8525,
+                0x4092ff66498d63d1,
+                0x40930176abf51d2c,
+                0x4093036007968b5a,
+                0x4092dc3c09909bd5,
+                0x4092e11ebeda920d,
+                0x4092e5807fd03a82,
+                0x4092e9737162c6ec,
+                0x4059f9a5350a9e28,
+                0x4059f9929ad83ba2,
+                0x4063fe3d122acdd2,
+                0x4063fe5172a855f8,
+                0x4063fe649d36afce,
+                0x4063fe776d7e25b9,
+                0x4063fe89e54d1911,
+                0x4063fe9c066749a0,
+                0x4063feadd28638b2,
+                0x4063febf4b596f3e,
+                0x406a389f27175e38,
+                0x406a3893409b15a2,
+                0x406a389d4d9a3785,
+                0x406a38a72d4a872a,
+                0x406a38b0e07f2362,
+                0x406a38ba68099814,
+                0x406a38c3c4b7434d,
+                0x406a38ccf7516d61,
+                0x406a38d6ac5c2dc5,
+                0x406a38e5ee56edbc,
+                0x406a38f4e9d420a8,
+                0x406a3903a02f5575,
+                0x406a391212bd4e33,
+                0x406a392042cb7b2c,
+                0x40b3c50900782ff2,
+                0x40b3c68637e4ad83,
+                0x40b3c7fc25a3981e,
+                0x40b3c96986b76fc2,
+                0x40b3cace769aa6bd,
+                0x40b3cc2b10a7cf47,
+            ],
+            group_r_ms: vec![0x40672f66e97dc1eb, 0x4054c0b12db2752d, 0x401d0bb66ab6ebaf],
+            latency: [
+                0x4038063ba175c3a5,
+                0x40187c9ff90c8a60,
+                0x405dc8f5276208fe,
+                0x4077f270d06cf132,
+            ],
+            utilization: [
+                0x3fd2fd21d489cff3,
+                0x3ff0000000000000,
+                0x3fcd9d7d1f4ff4bf,
+                0x40a3b79c42086659,
+            ],
+            partitions: vec![
+                (0x15bd, 0x9b2, 0x5ef, 0x41d65ad8bdc16bc9),
+                (0xdcc, 0x64a, 0x3da, 0x41d65ab69376847d),
+                (0x99d, 0x363a, 0x2b6, 0x41d68b2c0fbfd4dc),
+                (0x1c0, 0x32d2, 0xad, 0x41d68b09e574ed8b),
+                (0x125, 0xad, 0x6c, 0x41c7d7c85495ce98),
+            ],
+        };
+        let got = solver_pin_run();
+        assert!(got == expect, "solver results moved:\n{got:#x?}");
     }
 }

@@ -40,10 +40,10 @@ pub struct SpanRecord {
     pub name: &'static str,
     /// Label pairs attached at creation, e.g. `("phase", "flush")`.
     pub labels: Vec<(&'static str, String)>,
-    /// Start, microseconds since the profiler epoch.
-    pub start_us: u64,
-    /// Wall-clock duration in microseconds.
-    pub dur_us: u64,
+    /// Start, nanoseconds since the profiler epoch.
+    pub start_ns: u64,
+    /// Wall-clock duration in nanoseconds.
+    pub dur_ns: u64,
     /// Small stable id of the recording OS thread (0 = first recorder).
     pub thread: u64,
     /// Unique span id.
@@ -159,17 +159,16 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(active) = self.active.take() else { return };
         let end = Instant::now();
-        let start_us =
-            active.start.checked_duration_since(epoch()).unwrap_or_default().as_micros() as u64;
-        let dur_us =
-            end.checked_duration_since(active.start).unwrap_or_default().as_micros() as u64;
+        let start_ns =
+            active.start.checked_duration_since(epoch()).unwrap_or_default().as_nanos() as u64;
+        let dur_ns = end.checked_duration_since(active.start).unwrap_or_default().as_nanos() as u64;
         CURRENT.with(|c| c.set(active.parent));
         with_buffer(|buf| {
             buf.records.lock().unwrap().push(SpanRecord {
                 name: active.name,
                 labels: active.labels,
-                start_us,
-                dur_us,
+                start_ns,
+                dur_ns,
                 thread: buf.thread,
                 id: active.id,
                 parent: active.parent,
@@ -212,7 +211,7 @@ pub fn drain() -> Vec<SpanRecord> {
     for buf in registry().lock().unwrap().iter() {
         out.append(&mut buf.records.lock().unwrap());
     }
-    out.sort_by_key(|r| (r.start_us, r.id));
+    out.sort_by_key(|r| (r.start_ns, r.id));
     out
 }
 
@@ -239,10 +238,17 @@ fn json_escape_into(out: &mut String, s: &str) {
     }
 }
 
+/// Writes `ns` as fractional microseconds (`1234567` → `1234.567`), the
+/// unit Chrome trace timestamps are read in.
+fn push_us(out: &mut String, ns: u64) {
+    out.push_str(&format!("{}.{:03}", ns / 1_000, ns % 1_000));
+}
+
 /// Serializes `records` as Chrome trace-event JSON (the
 /// `{"traceEvents": [...]}` object form): one complete (`"ph": "X"`) event
-/// per span, timestamps/durations in microseconds, one `tid` per recording
-/// thread. Load the output in `chrome://tracing` or Perfetto.
+/// per span, timestamps/durations in fractional microseconds (nanosecond
+/// resolution), one `tid` per recording thread. Load the output in
+/// `chrome://tracing` or Perfetto.
 pub fn chrome_trace(records: &[SpanRecord]) -> String {
     let mut out = String::with_capacity(128 * records.len() + 64);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -255,9 +261,9 @@ pub fn chrome_trace(records: &[SpanRecord]) -> String {
         out.push_str("\",\"cat\":\"met\",\"ph\":\"X\",\"pid\":1,\"tid\":");
         out.push_str(&r.thread.to_string());
         out.push_str(",\"ts\":");
-        out.push_str(&r.start_us.to_string());
+        push_us(&mut out, r.start_ns);
         out.push_str(",\"dur\":");
-        out.push_str(&r.dur_us.to_string());
+        push_us(&mut out, r.dur_ns);
         out.push_str(",\"args\":{\"id\":");
         out.push_str(&r.id.to_string());
         if let Some(p) = r.parent {
@@ -300,43 +306,45 @@ pub struct SpanStats {
     pub p99_ms: f64,
 }
 
-fn exact_percentile(sorted_us: &[u64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
+fn exact_percentile(sorted_ns: &[u64], q: f64) -> f64 {
+    if sorted_ns.is_empty() {
         return 0.0;
     }
-    let rank = ((q * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len());
-    sorted_us[rank - 1] as f64 / 1_000.0
+    let rank = ((q * sorted_ns.len() as f64).ceil() as usize).clamp(1, sorted_ns.len());
+    sorted_ns[rank - 1] as f64 / 1e6
 }
 
 /// Reduces records to per-name statistics, ordered by self time
 /// (descending; ties by name). Percentiles are exact (computed from the
-/// full duration list, not bucket bounds).
+/// full duration list, not bucket bounds), and self time is computed in
+/// nanoseconds, so sub-microsecond children are charged to themselves and
+/// not to their parent.
 pub fn aggregate(records: &[SpanRecord]) -> Vec<SpanStats> {
     use std::collections::BTreeMap;
     // Wall time attributed to direct children, per parent span id.
-    let mut child_us: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
     for r in records {
         if let Some(p) = r.parent {
-            *child_us.entry(p).or_insert(0) += r.dur_us;
+            *child_ns.entry(p).or_insert(0) += r.dur_ns;
         }
     }
     let mut by_name: BTreeMap<&'static str, (u64, u64, u64, Vec<u64>)> = BTreeMap::new();
     for r in records {
         let e = by_name.entry(r.name).or_insert((0, 0, 0, Vec::new()));
         e.0 += 1;
-        e.1 += r.dur_us;
-        e.2 += r.dur_us.saturating_sub(child_us.get(&r.id).copied().unwrap_or(0));
-        e.3.push(r.dur_us);
+        e.1 += r.dur_ns;
+        e.2 += r.dur_ns.saturating_sub(child_ns.get(&r.id).copied().unwrap_or(0));
+        e.3.push(r.dur_ns);
     }
     let mut out: Vec<SpanStats> = by_name
         .into_iter()
-        .map(|(name, (count, total_us, self_us, mut durs))| {
+        .map(|(name, (count, total_ns, self_ns, mut durs))| {
             durs.sort_unstable();
             SpanStats {
                 name,
                 count,
-                total_ms: total_us as f64 / 1_000.0,
-                self_ms: self_us as f64 / 1_000.0,
+                total_ms: total_ns as f64 / 1e6,
+                self_ms: self_ns as f64 / 1e6,
                 p50_ms: exact_percentile(&durs, 0.50),
                 p95_ms: exact_percentile(&durs, 0.95),
                 p99_ms: exact_percentile(&durs, 0.99),
@@ -356,7 +364,7 @@ pub fn aggregate(records: &[SpanRecord]) -> Vec<SpanStats> {
 /// moves profiling data into a registry — recording alone never does.
 pub fn export_to_registry(telemetry: &crate::Telemetry, records: &[SpanRecord]) {
     for r in records {
-        telemetry.observe("profile_span_ms", &[("span", r.name)], r.dur_us as f64 / 1_000.0);
+        telemetry.observe("profile_span_ms", &[("span", r.name)], r.dur_ns as f64 / 1e6);
     }
     for s in aggregate(records) {
         telemetry.gauge_set("profile_span_self_ms", &[("span", s.name)], s.self_ms);
@@ -412,8 +420,8 @@ mod tests {
         let inner = records.iter().find(|r| r.name == "inner").unwrap();
         assert_eq!(inner.parent, Some(outer.id));
         assert_eq!(outer.parent, None);
-        assert!(inner.start_us >= outer.start_us);
-        assert!(inner.dur_us <= outer.dur_us);
+        assert!(inner.start_ns >= outer.start_ns);
+        assert!(inner.dur_ns <= outer.dur_ns);
     }
 
     // Helper: nothing is recorded until drop, so this just documents the
@@ -424,21 +432,24 @@ mod tests {
 
     #[test]
     fn aggregate_computes_self_time_and_exact_percentiles() {
-        let rec = |name: &'static str, id, parent, start_us, dur_us| SpanRecord {
+        let rec = |name: &'static str, id, parent, start_ns, dur_ns| SpanRecord {
             name,
             labels: Vec::new(),
-            start_us,
-            dur_us,
+            start_ns,
+            dur_ns,
             thread: 0,
             id,
             parent,
         };
-        let records = vec![
-            rec("tick", 1, None, 0, 10_000),
-            rec("solve", 2, Some(1), 1_000, 6_000),
-            rec("solve", 3, Some(1), 8_000, 2_000),
-            rec("eval", 4, Some(2), 2_000, 1_000),
+        let mut records = vec![
+            rec("tick", 1, None, 0, 10_000_000),
+            rec("solve", 2, Some(1), 1_000_000, 6_000_000),
+            rec("solve", 3, Some(1), 8_000_000, 2_000_000),
+            rec("eval", 4, Some(2), 2_000_000, 1_000_000),
         ];
+        // Five sub-microsecond children of the second solve: 3 µs of their
+        // own that must not be charged to their parent.
+        records.extend((0..5).map(|i| rec("probe", 5 + i, Some(3), 8_100_000 + i * 1_000, 600)));
         let stats = aggregate(&records);
         let get = |n: &str| stats.iter().find(|s| s.name == n).unwrap().clone();
         let tick = get("tick");
@@ -449,13 +460,18 @@ mod tests {
         let solve = get("solve");
         assert_eq!(solve.count, 2);
         assert!((solve.total_ms - 8.0).abs() < 1e-9);
-        // 8 ms minus the eval child (1 ms).
-        assert!((solve.self_ms - 7.0).abs() < 1e-9);
+        // 8 ms minus the eval child (1 ms) and the five probes (3 µs).
+        assert!((solve.self_ms - 6.997).abs() < 1e-9, "{}", solve.self_ms);
         assert!((solve.p50_ms - 2.0).abs() < 1e-9, "exact median of [2,6] is 2");
         assert!((solve.p99_ms - 6.0).abs() < 1e-9);
-        // Ordered by self time: solve (7) > eval follows tick (2) > eval (1).
-        assert_eq!(stats[0].name, "solve");
-        assert_eq!(stats.last().unwrap().name, "eval");
+        let probe = get("probe");
+        assert_eq!(probe.count, 5);
+        assert!((probe.total_ms - 0.003).abs() < 1e-12, "{}", probe.total_ms);
+        assert!((probe.self_ms - 0.003).abs() < 1e-12, "{}", probe.self_ms);
+        assert!((probe.p50_ms - 0.0006).abs() < 1e-12, "{}", probe.p50_ms);
+        // Ordered by self time: solve (6.997) > tick (2) > eval (1) > probe.
+        let order: Vec<&str> = stats.iter().map(|s| s.name).collect();
+        assert_eq!(order, ["solve", "tick", "eval", "probe"]);
     }
 
     #[test]
@@ -463,8 +479,8 @@ mod tests {
         let records = vec![SpanRecord {
             name: "phase.\"x\"",
             labels: vec![("server", "3".to_string())],
-            start_us: 5,
-            dur_us: 7,
+            start_ns: 5_250,
+            dur_ns: 750,
             thread: 2,
             id: 9,
             parent: Some(4),
@@ -475,8 +491,9 @@ mod tests {
         assert_eq!(events.len(), 1);
         let e = &events[0];
         assert_eq!(e["ph"].as_str(), Some("X"));
-        assert_eq!(e["ts"].as_u64(), Some(5));
-        assert_eq!(e["dur"].as_u64(), Some(7));
+        // Fractional microseconds keep sub-µs spans visible.
+        assert_eq!(e["ts"].as_f64(), Some(5.25));
+        assert_eq!(e["dur"].as_f64(), Some(0.75));
         assert_eq!(e["tid"].as_u64(), Some(2));
         assert_eq!(e["pid"].as_u64(), Some(1));
         assert_eq!(e["name"].as_str(), Some("phase.\"x\""));
@@ -490,8 +507,8 @@ mod tests {
             SpanRecord {
                 name: "phase.a",
                 labels: Vec::new(),
-                start_us: 0,
-                dur_us: 2_000,
+                start_ns: 0,
+                dur_ns: 2_000_000,
                 thread: 0,
                 id: 1,
                 parent: None,
@@ -499,8 +516,8 @@ mod tests {
             SpanRecord {
                 name: "phase.a",
                 labels: Vec::new(),
-                start_us: 3_000,
-                dur_us: 4_000,
+                start_ns: 3_000_000,
+                dur_ns: 4_000_000,
                 thread: 0,
                 id: 2,
                 parent: None,

@@ -110,8 +110,9 @@ fn chrome_trace_from_a_multi_thread_run_is_loadable() {
     let mut tids = std::collections::BTreeSet::new();
     for e in events {
         assert_eq!(e["ph"].as_str(), Some("X"), "complete events");
-        assert!(e["ts"].as_u64().is_some());
-        assert!(e["dur"].as_u64().is_some());
+        // Fractional microseconds (nanosecond resolution).
+        assert!(e["ts"].as_f64().is_some_and(|ts| ts >= 0.0));
+        assert!(e["dur"].as_f64().is_some_and(|dur| dur >= 0.0));
         assert!(e["pid"].as_u64().is_some());
         tids.insert(e["tid"].as_u64().expect("tid"));
         assert!(e["name"].as_str().is_some());
