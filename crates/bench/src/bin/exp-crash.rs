@@ -4,9 +4,7 @@
 //! chaos plan and gates on the cluster healing through them.
 //!
 //! Knobs: `MET_CRASH_OPS` (schedule length, default 150), `MET_CRASH_SEED`
-//! (schedule seed, default 42), `MET_CRASH_BG` (run every crashed store
-//! with the background maintenance pipeline on — same invariants, crashes
-//! now land mid-flush and mid-compaction).
+//! (schedule seed, default 42).
 
 use met_bench::crash;
 use simcore::{FaultPlan, FaultSpec, ScheduledFault, SimTime};
@@ -18,12 +16,8 @@ fn main() {
     let seed = cfg.crash_seed.unwrap_or(42);
     let telemetry = met_bench::telemetry_from_env();
 
-    let bg = cfg.crash_bg;
-    eprintln!(
-        "crash: store audit over {ops} ops (seed {seed}, maintenance {})...",
-        if bg { "background" } else { "inline" }
-    );
-    let audit = crash::run_with(seed, ops, bg);
+    eprintln!("crash: store audit over {ops} ops (seed {seed})...");
+    let audit = crash::run(seed, ops);
     telemetry.emit(
         SimTime::from_secs(0),
         TelemetryEvent::WalAppend { server: 0, records: audit.wal_appends, bytes: audit.wal_bytes },
@@ -101,7 +95,6 @@ fn main() {
         "experiment": "crash",
         "ops": audit.ops,
         "seed": seed,
-        "background_maintenance": bg,
         "audit": {
             "crash_points": audit.crash_points,
             "torn_points": audit.torn_points,

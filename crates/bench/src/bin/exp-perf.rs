@@ -5,8 +5,7 @@
 //! Knobs (via [`simcore::config::EnvConfig`]; see the README's knob
 //! table): `MET_PERF_OPS`, `MET_PERF_TICKS`, `MET_PERF_WARMUP_TICKS`,
 //! `MET_PERF_REPS`, `MET_PERF_CLIENTS`,
-//! `MET_PERF_ASSERT_CLIENT_SPEEDUP`, `MET_PERF_ASSERT_WRITER_SPEEDUP`,
-//! `MET_PERF_COMMIT`, `MET_BENCH_PATH`.
+//! `MET_PERF_ASSERT_CLIENT_SPEEDUP`, `MET_PERF_COMMIT`, `MET_BENCH_PATH`.
 
 use met_bench::perf::{self, PerfConfig, PerfRecord};
 use serde_json::Value;
@@ -44,26 +43,13 @@ fn merge_trajectory(existing: Value, records: &[PerfRecord], commit: &str) -> Va
         _ => Vec::new(),
     };
     for r in records {
-        // Stall time rides along only on the background-pipeline legs, so
-        // older trajectory entries keep their exact shape.
-        let entry = match r.stall_ms {
-            Some(stall) => serde_json::json!({
-                "bench": r.bench,
-                "ops_per_sec": r.ops_per_sec.map(round1),
-                "ticks_per_sec": r.ticks_per_sec.map(round1),
-                "threads": r.threads,
-                "commit": commit,
-                "stall_ms": round1(stall),
-            }),
-            None => serde_json::json!({
-                "bench": r.bench,
-                "ops_per_sec": r.ops_per_sec.map(round1),
-                "ticks_per_sec": r.ticks_per_sec.map(round1),
-                "threads": r.threads,
-                "commit": commit,
-            }),
-        };
-        out.push(entry);
+        out.push(serde_json::json!({
+            "bench": r.bench,
+            "ops_per_sec": r.ops_per_sec.map(round1),
+            "ticks_per_sec": r.ticks_per_sec.map(round1),
+            "threads": r.threads,
+            "commit": commit,
+        }));
     }
     Value::Array(out)
 }
@@ -91,18 +77,14 @@ fn main() {
     let records = perf::run_suite(&cfg);
 
     println!("Wall-clock performance — commit {commit}");
-    println!(
-        "{:<24} {:>8} {:>14} {:>14} {:>10}",
-        "bench", "threads", "ops/sec", "ticks/sec", "stall-ms"
-    );
+    println!("{:<24} {:>8} {:>14} {:>14}", "bench", "threads", "ops/sec", "ticks/sec");
     for r in &records {
         println!(
-            "{:<24} {:>8} {:>14} {:>14} {:>10}",
+            "{:<24} {:>8} {:>14} {:>14}",
             r.bench,
             r.threads,
             r.ops_per_sec.map(|v| format!("{v:.0}")).unwrap_or_else(|| "-".into()),
             r.ticks_per_sec.map(|v| format!("{v:.1}")).unwrap_or_else(|| "-".into()),
-            r.stall_ms.map(|v| format!("{v:.0}")).unwrap_or_else(|| "-".into()),
         );
     }
 
@@ -146,34 +128,6 @@ fn main() {
         );
         if speedup < min {
             eprintln!("perf: client-speedup gate FAILED");
-            std::process::exit(1);
-        }
-    }
-
-    // The background-maintenance gate: the put-heavy writer with the
-    // pipeline on must beat the inline-flush writer by the given factor.
-    // Moving flush work off the write path only pays with real spare
-    // cores, so like the client gate this is armed on multi-core CI, never
-    // by default.
-    if let Some(min) = env.perf_assert_writer_speedup {
-        let rate = |bench: &str| {
-            records.iter().find(|r| r.bench == bench && r.threads == 1).and_then(|r| r.ops_per_sec)
-        };
-        let (Some(inline), Some(bg)) = (rate("store-put-heavy"), rate("store-put-heavy-bg")) else {
-            eprintln!("perf: writer-speedup gate armed but the put-heavy pair is missing");
-            std::process::exit(1);
-        };
-        let speedup = bg / inline;
-        let stall = records
-            .iter()
-            .find(|r| r.bench == "store-put-heavy-bg" && r.threads == 1)
-            .and_then(|r| r.stall_ms)
-            .unwrap_or(0.0);
-        eprintln!(
-            "perf: store-put-heavy-bg: {speedup:.2}x inline (gate {min}x, stall {stall:.0} ms)"
-        );
-        if speedup < min {
-            eprintln!("perf: writer-speedup gate FAILED");
             std::process::exit(1);
         }
     }

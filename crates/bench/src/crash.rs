@@ -19,8 +19,7 @@
 
 use bytes::Bytes;
 use hstore::{
-    CfStore, FileIdAllocator, HStoreError, KeyRange, MaintenanceConfig, SharedBlockCache,
-    WalConfig, WAL_FILE_ID_BASE,
+    CfStore, FileIdAllocator, HStoreError, KeyRange, SharedBlockCache, WalConfig, WAL_FILE_ID_BASE,
 };
 use simcore::SimRng;
 use std::collections::BTreeMap;
@@ -97,30 +96,9 @@ pub fn model_state(model: &BTreeMap<(String, String), String>) -> State {
     rows.into_iter().collect()
 }
 
-/// Maintenance knobs for the background-pipeline audit: the `MET_FLUSH_*`
-/// / `MET_COMPACT_*` / `MET_STORE_*` environment knobs, defaulting to a
-/// freeze threshold small enough that the tiny crash schedule actually
-/// drives background flushes (and, through them, WAL rotations, deferred
-/// truncations, and compactions) between crash points, instead of never
-/// reaching one.
-fn crash_maintenance_cfg() -> MaintenanceConfig {
-    let env = simcore::config::env_config();
-    let mut cfg = MaintenanceConfig::from_env(env);
-    if env.flush_memstore_bytes.is_none() {
-        cfg.memstore_flush_bytes = 256;
-    }
-    if env.compact_min_files.is_none() {
-        cfg.compact_min_files = 3;
-    }
-    cfg
-}
-
-fn fresh_store(group_commit_bytes: usize, bg: bool) -> CfStore {
+fn fresh_store(group_commit_bytes: usize) -> CfStore {
     let mut s = CfStore::new(SharedBlockCache::new(1 << 20), FileIdAllocator::new(), 512);
     s.enable_wal(WalConfig { group_commit_bytes, ..WalConfig::default() });
-    if bg {
-        s.start_maintenance(crash_maintenance_cfg());
-    }
     s
 }
 
@@ -196,21 +174,8 @@ impl CrashReport {
     }
 }
 
-/// Runs the whole audit with inline maintenance (the seed behaviour).
-/// Deterministic in `seed` and `ops`.
+/// Runs the whole audit. Deterministic in `seed` and `ops`.
 pub fn run(seed: u64, ops: usize) -> CrashReport {
-    run_with(seed, ops, false)
-}
-
-/// Runs the whole audit, optionally with the background maintenance
-/// pipeline running in every crashed store (`MET_CRASH_BG`). The
-/// *invariants* are identical — a crash abandons queued background work,
-/// and the WAL segments covering it were never truncated, so every
-/// acknowledged op must still recover exactly. Schedule and crash points
-/// stay deterministic in `seed` and `ops`; with `bg` the bookkeeping
-/// totals (replayed records, WAL bytes) become timing-dependent because
-/// background flushes earn truncations at their own pace.
-pub fn run_with(seed: u64, ops: usize, bg: bool) -> CrashReport {
     let plan = schedule(seed, ops);
     let mut report = CrashReport {
         ops,
@@ -227,11 +192,11 @@ pub fn run_with(seed: u64, ops: usize, bg: bool) -> CrashReport {
         failures: Vec::new(),
     };
 
-    crash_at_every_boundary(&plan, bg, &mut report);
-    torn_write_sweep(&plan, bg, &mut report);
-    group_commit_prefixes(&plan, bg, &mut report);
-    bit_rot_is_typed(&plan, bg, &mut report);
-    fsync_failure_is_clean(&plan, bg, &mut report);
+    crash_at_every_boundary(&plan, &mut report);
+    torn_write_sweep(&plan, &mut report);
+    group_commit_prefixes(&plan, &mut report);
+    bit_rot_is_typed(&plan, &mut report);
+    fsync_failure_is_clean(&plan, &mut report);
     report
 }
 
@@ -277,9 +242,9 @@ fn recover_and_check(
 /// Leg 1: with sync-per-append durability (HBase's default), kill the
 /// store after every prefix of the schedule. Every acknowledged op must
 /// survive; the recovered store must keep accepting writes.
-fn crash_at_every_boundary(plan: &[CrashOp], bg: bool, report: &mut CrashReport) {
+fn crash_at_every_boundary(plan: &[CrashOp], report: &mut CrashReport) {
     for k in 0..=plan.len() {
-        let mut store = fresh_store(0, bg);
+        let mut store = fresh_store(0);
         let mut model = BTreeMap::new();
         for op in &plan[..k] {
             apply(&mut store, &mut model, op);
@@ -305,11 +270,11 @@ fn crash_at_every_boundary(plan: &[CrashOp], bg: bool, report: &mut CrashReport)
 /// truncate on replay — never panic, never lose an *acknowledged* op. The
 /// unacknowledged victim itself sits outside the contract: a tear wide
 /// enough to persist its whole frame may legitimately resurrect it.
-fn torn_write_sweep(plan: &[CrashOp], bg: bool, report: &mut CrashReport) {
+fn torn_write_sweep(plan: &[CrashOp], report: &mut CrashReport) {
     // A prefix long enough to have real state, short enough to stay fast.
     let prefix = plan.len().min(40);
     for torn in 0..48u64 {
-        let mut store = fresh_store(0, bg);
+        let mut store = fresh_store(0);
         let mut model = BTreeMap::new();
         for op in &plan[..prefix] {
             apply(&mut store, &mut model, op);
@@ -336,9 +301,9 @@ fn torn_write_sweep(plan: &[CrashOp], bg: bool, report: &mut CrashReport) {
 /// Leg 3: with group commit (batched sync), a crash may lose the staged
 /// tail — but the recovered state must equal the model over exactly the
 /// durable prefix (append j durable iff j ≤ `durable_seq` at crash).
-fn group_commit_prefixes(plan: &[CrashOp], bg: bool, report: &mut CrashReport) {
+fn group_commit_prefixes(plan: &[CrashOp], report: &mut CrashReport) {
     for k in 0..=plan.len() {
-        let mut store = fresh_store(256, bg);
+        let mut store = fresh_store(256);
         // Mirror of every *acknowledged* op, in append order, so the
         // durable prefix can be replayed afterwards.
         let mut acked: Vec<&CrashOp> = Vec::new();
@@ -378,9 +343,9 @@ fn group_commit_prefixes(plan: &[CrashOp], bg: bool, report: &mut CrashReport) {
 
 /// Leg 4: bit-rot in a store file block and in a sealed WAL segment must
 /// each fail recovery with a typed corruption naming the damaged file.
-fn bit_rot_is_typed(plan: &[CrashOp], bg: bool, report: &mut CrashReport) {
+fn bit_rot_is_typed(plan: &[CrashOp], report: &mut CrashReport) {
     // File-block rot: run enough of the schedule to have flushed a file.
-    let mut store = fresh_store(0, bg);
+    let mut store = fresh_store(0);
     let mut model = BTreeMap::new();
     for op in plan {
         apply(&mut store, &mut model, op);
@@ -412,10 +377,8 @@ fn bit_rot_is_typed(plan: &[CrashOp], bg: bool, report: &mut CrashReport) {
     }
 
     // Sealed-segment WAL rot: rotate so damage lands mid-log, not in the
-    // replayable tail. This sub-leg stays inline even under `bg`: the tiny
-    // three-put store must keep its segment-0 bytes un-truncated for the
-    // damage to land mid-log.
-    let mut store = fresh_store(0, false);
+    // replayable tail.
+    let mut store = fresh_store(0);
     store.put("a".into(), "q".into(), Bytes::from_static(b"one"));
     store.put("b".into(), "q".into(), Bytes::from_static(b"two"));
     store.wal_mut().expect("wal enabled").rotate().expect("rotation syncs");
@@ -437,9 +400,9 @@ fn bit_rot_is_typed(plan: &[CrashOp], bg: bool, report: &mut CrashReport) {
 
 /// Leg 5: a failed fsync must reject the write (nothing applied), leave
 /// the store serving, and survive a subsequent crash/recover cycle.
-fn fsync_failure_is_clean(plan: &[CrashOp], bg: bool, report: &mut CrashReport) {
+fn fsync_failure_is_clean(plan: &[CrashOp], report: &mut CrashReport) {
     let prefix = plan.len().min(25);
-    let mut store = fresh_store(0, bg);
+    let mut store = fresh_store(0);
     let mut model = BTreeMap::new();
     for op in &plan[..prefix] {
         apply(&mut store, &mut model, op);
@@ -494,17 +457,6 @@ mod tests {
         assert_eq!(r.torn_points, 48);
         assert!(r.replayed_records > 0, "some recoveries replayed records");
         assert!(r.max_recovery_ms < 10_000, "recovery time is bounded");
-    }
-
-    #[test]
-    fn the_audit_passes_with_the_background_pipeline_on() {
-        let r = run_with(42, 60, true);
-        assert!(r.passed(), "failures: {:?}", r.failures);
-        // Crash-point coverage is schedule-shaped, so it must not depend
-        // on who runs the flushes.
-        assert_eq!(r.crash_points, 61);
-        assert_eq!(r.group_points, 61);
-        assert_eq!(r.torn_points, 48);
     }
 
     #[test]

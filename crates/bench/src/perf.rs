@@ -15,14 +15,8 @@
 //!    shared store, plus a contended mixed leg where readers ride through
 //!    a continuously flushing writer. These records share bench names with
 //!    the single-thread mixes and are distinguished by their `threads`
-//!    field.
-//! 4. **Writer-centric A/B legs** — the put-heavy mix and the contended
-//!    mixed leg repeated with the background maintenance pipeline on
-//!    (`-bg` suffix), repetitions interleaved with their inline twins so
-//!    the speedup ratio is drift-free. The contended leg reports the
-//!    writer's own ops/sec (`store-mixed-rw-writer[-bg]`) next to the
-//!    reader aggregate, and the background legs carry the writer's
-//!    backpressure stall time as a separate `stall_ms` field.
+//!    field. The contended leg reports the writer's own ops/sec
+//!    (`store-mixed-rw-writer`) next to the reader aggregate.
 //!
 //! The `exp-perf` binary appends the results to `BENCH_perf.json` at the
 //! repo root (one record per `{bench, threads, commit}`), so successive PRs
@@ -31,7 +25,7 @@
 use crate::scenario::FIG1_SERVERS;
 use baselines::build_random_homogeneous;
 use bytes::Bytes;
-use hstore::{CfStore, FileIdAllocator, MaintenanceConfig, SharedBlockCache, StoreReader};
+use hstore::{CfStore, FileIdAllocator, SharedBlockCache, StoreReader};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
@@ -71,11 +65,6 @@ pub struct PerfRecord {
     /// Thread count the benchmark ran at (the cluster leg and the plain
     /// store mixes run on one thread).
     pub threads: usize,
-    /// Median writer wall-clock milliseconds lost to maintenance
-    /// backpressure per repetition. `Some` only on the background-pipeline
-    /// legs — stall time is reported *next to* the throughput figure, never
-    /// silently folded into it.
-    pub stall_ms: Option<f64>,
 }
 
 /// Knobs for one harness invocation (all overridable from the binary via
@@ -191,7 +180,6 @@ pub fn bench_point_get(cfg: &PerfConfig) -> PerfRecord {
         ops_per_sec: Some(median(rates)),
         ticks_per_sec: None,
         threads: 1,
-        stall_ms: None,
     }
 }
 
@@ -220,7 +208,6 @@ pub fn bench_scan_heavy(cfg: &PerfConfig) -> PerfRecord {
         ops_per_sec: Some(median(rates)),
         ticks_per_sec: None,
         threads: 1,
-        stall_ms: None,
     }
 }
 
@@ -250,9 +237,8 @@ pub fn bench_put_heavy_wal_group(cfg: &PerfConfig) -> PerfRecord {
     bench_put_heavy_variant(cfg, "store-put-heavy-wal-group", Some(wal))
 }
 
-/// One inline-maintenance put-heavy repetition: the writer itself flushes
-/// every [`STORE_FLUSH_EVERY`] puts, paying the HFile build on the write
-/// path — the baseline the background pipeline is measured against.
+/// One put-heavy repetition: the writer itself flushes every
+/// [`STORE_FLUSH_EVERY`] puts, paying the HFile build on the write path.
 fn put_heavy_rep(cfg: &PerfConfig, wal: Option<hstore::WalConfig>) -> f64 {
     let mut s = loaded_store();
     if let Some(wal_cfg) = wal {
@@ -274,122 +260,6 @@ fn put_heavy_rep(cfg: &PerfConfig, wal: Option<hstore::WalConfig>) -> f64 {
     })
 }
 
-/// Maintenance knobs for the background benchmark legs: the
-/// `MET_FLUSH_*` / `MET_COMPACT_*` / `MET_STORE_*` environment knobs,
-/// with two bench-specific defaults on top that make the A/B pair a
-/// controlled experiment:
-///
-/// * Unless `MET_FLUSH_MEMSTORE_BYTES` overrides it, the freeze threshold
-///   matches the inline legs' explicit flush cadence
-///   ([`STORE_FLUSH_EVERY`] puts of exactly 138 accounted heap bytes
-///   each: a 12-byte row key, 2-byte qualifier, 8-byte timestamp,
-///   100-byte value, and 16 bytes of per-cell overhead — see
-///   `CellVersion::heap_size`), so both sides produce HFiles at the
-///   same rate and the memstores the writer inserts into stay the same
-///   depth.
-/// * Unless `MET_COMPACT_MIN_FILES` arms it, background *compaction* is
-///   off — the inline twin never compacts, so leaving the compactors
-///   running would compare "flushes" against "flushes plus a merge
-///   workload", and on a small host the extra CPU reads as a bogus
-///   writer regression. With both knobs at their defaults the pair does
-///   identical total work and differs only in *where* the flush runs.
-///   (Compaction correctness and its crash behaviour are exercised by
-///   `hstore/tests/background.rs` and `exp-crash` under `MET_CRASH_BG`.)
-///   While compaction is off the file-count walls come down too — they
-///   exist to let the compactors catch up, and with no compactor the
-///   debt never drains, turning them into a one-way stall the inline
-///   twin doesn't have. `MET_STORE_THROTTLE_FILES` /
-///   `MET_STORE_BLOCKING_FILES` still override.
-///
-/// The frozen-memstore wall stays armed either way — a writer that
-/// outruns the background flusher is throttled for real, and the stall
-/// time is reported next to the throughput figure.
-fn bench_maintenance_cfg() -> MaintenanceConfig {
-    let env = simcore::config::env_config();
-    let mut cfg = MaintenanceConfig::from_env(env);
-    if env.flush_memstore_bytes.is_none() {
-        cfg.memstore_flush_bytes = STORE_FLUSH_EVERY as usize * 138;
-    }
-    if env.compact_min_files.is_none() {
-        cfg.compact_min_files = usize::MAX;
-        if env.store_throttle_files.is_none() {
-            cfg.throttle_files = usize::MAX;
-        }
-        if env.store_blocking_files.is_none() {
-            cfg.blocking_files = usize::MAX;
-        }
-    }
-    cfg
-}
-
-/// One background-maintenance put-heavy repetition: the writer only
-/// appends; freezes, HFile builds, and compactions run on the pipeline
-/// threads. Returns `(ops/sec, stall ms accrued inside the timed window)`.
-///
-/// The warmup mirrors [`time_ops`] exactly — `ops / 4` iterations of the
-/// same mix on the same key stream — so both sides of the A/B enter
-/// their timed window with the same store shape (warmup puts grow the
-/// file count identically on both legs while compaction is off).
-fn put_heavy_rep_bg(cfg: &PerfConfig) -> (f64, f64) {
-    let mut s = loaded_store();
-    s.start_maintenance(bench_maintenance_cfg());
-    let mut keys = KeySeq(0x9e37_79b9_7f4a_7c15);
-    let op = |s: &mut CfStore, k: &mut KeySeq| {
-        let i = k.next_in(STORE_RECORDS);
-        if k.next_in(2) == 0 {
-            std::hint::black_box(s.get(&row(i), &"f0".into()));
-        } else {
-            s.put(row(i), "f0".into(), value());
-        }
-    };
-    for _ in 0..cfg.ops / 4 {
-        op(&mut s, &mut keys);
-    }
-    let stall_before = s.maintenance_snapshot().map(|m| m.stall_ms_total()).unwrap_or_default();
-    let t0 = Instant::now();
-    for _ in 0..cfg.ops {
-        op(&mut s, &mut keys);
-    }
-    let rate = cfg.ops as f64 / t0.elapsed().as_secs_f64();
-    let stall =
-        s.maintenance_snapshot().map(|m| m.stall_ms_total()).unwrap_or_default() - stall_before;
-    (rate, stall as f64)
-}
-
-/// The put-heavy writer A/B pair: inline maintenance vs the background
-/// pipeline, repetitions *interleaved* (inline rep, then background rep,
-/// `cfg.reps` times) so host drift lands on both legs equally and the
-/// writer-speedup ratio between the two medians reflects the engines, not
-/// when they ran — the same pairing discipline as
-/// [`bench_fig4_ticks_pair`].
-pub fn bench_put_heavy_pair(cfg: &PerfConfig) -> (PerfRecord, PerfRecord) {
-    let mut inline_rates = Vec::with_capacity(cfg.reps);
-    let mut bg_rates = Vec::with_capacity(cfg.reps);
-    let mut bg_stalls = Vec::with_capacity(cfg.reps);
-    for _ in 0..cfg.reps {
-        inline_rates.push(put_heavy_rep(cfg, None));
-        let (rate, stall) = put_heavy_rep_bg(cfg);
-        bg_rates.push(rate);
-        bg_stalls.push(stall);
-    }
-    (
-        PerfRecord {
-            bench: "store-put-heavy".into(),
-            ops_per_sec: Some(median(inline_rates)),
-            ticks_per_sec: None,
-            threads: 1,
-            stall_ms: None,
-        },
-        PerfRecord {
-            bench: "store-put-heavy-bg".into(),
-            ops_per_sec: Some(median(bg_rates)),
-            ticks_per_sec: None,
-            threads: 1,
-            stall_ms: Some(median(bg_stalls)),
-        },
-    )
-}
-
 fn bench_put_heavy_variant(
     cfg: &PerfConfig,
     bench: &str,
@@ -401,7 +271,6 @@ fn bench_put_heavy_variant(
         ops_per_sec: Some(median(rates)),
         ticks_per_sec: None,
         threads: 1,
-        stall_ms: None,
     }
 }
 
@@ -468,7 +337,6 @@ pub fn bench_point_get_threaded(cfg: &PerfConfig) -> PerfRecord {
         ops_per_sec: Some(median(rates)),
         ticks_per_sec: None,
         threads: cfg.clients,
-        stall_ms: None,
     }
 }
 
@@ -491,32 +359,18 @@ pub fn bench_scan_heavy_threaded(cfg: &PerfConfig) -> PerfRecord {
         ops_per_sec: Some(median(rates)),
         ticks_per_sec: None,
         threads: cfg.clients,
-        stall_ms: None,
     }
-}
-
-/// One contended repetition's raw rates: reader aggregate, writer, and the
-/// writer's backpressure stall time inside the measured window.
-struct MixedRwRep {
-    readers_ops_per_sec: f64,
-    writer_ops_per_sec: f64,
-    stall_ms: f64,
 }
 
 /// One contended repetition: `cfg.clients - 1` reader threads point-get
-/// for the measured op count while one writer thread puts continuously.
-/// With `bg` false the writer flushes inline every [`STORE_FLUSH_EVERY`]
-/// puts (the seed behaviour); with `bg` true the background pipeline
-/// absorbs freezes and compactions and the writer only appends. Readers
-/// and the writer warm up independently, rendezvous on one barrier, and
-/// are timed separately — the writer reports its own ops/sec instead of
-/// existing purely to create contention.
-fn mixed_rw_rep(cfg: &PerfConfig, bg: bool) -> MixedRwRep {
+/// for the measured op count while one writer thread puts continuously,
+/// flushing every [`STORE_FLUSH_EVERY`] puts. Readers and the writer warm
+/// up independently, rendezvous on one barrier, and are timed separately
+/// — the writer reports its own ops/sec instead of existing purely to
+/// create contention. Returns `(reader aggregate, writer)` ops/sec.
+fn mixed_rw_rep(cfg: &PerfConfig) -> (f64, f64) {
     let readers = cfg.clients.saturating_sub(1).max(1);
     let mut s = loaded_store_sharded(cfg.clients);
-    if bg {
-        s.start_maintenance(bench_maintenance_cfg());
-    }
     let stop = AtomicBool::new(false);
     // Parties: every reader, the writer, and the timing (main) thread.
     let barrier = Barrier::new(readers + 2);
@@ -551,26 +405,15 @@ fn mixed_rw_rep(cfg: &PerfConfig, bg: bool) -> MixedRwRep {
             let mut wop = |s: &mut CfStore, keys: &mut KeySeq| {
                 let i = keys.next_in(STORE_RECORDS);
                 s.put(row(i), "f0".into(), value());
-                if !bg {
-                    since_flush += 1;
-                    if since_flush >= STORE_FLUSH_EVERY {
-                        s.flush();
-                        since_flush = 0;
-                    }
+                since_flush += 1;
+                if since_flush >= STORE_FLUSH_EVERY {
+                    s.flush();
+                    since_flush = 0;
                 }
             };
             for _ in 0..warmup {
                 wop(writer_store, &mut keys);
             }
-            if bg {
-                // Warmup outruns the flusher; entering the window with a
-                // frozen-memstore backlog bills warmup debt to the measured
-                // window and slows every reader get through the extra
-                // frozen stores in the view. Start steady instead.
-                writer_store.drain_maintenance();
-            }
-            let stall_before =
-                writer_store.maintenance_snapshot().map(|m| m.stall_ms_total()).unwrap_or_default();
             barrier.wait();
             let t0 = Instant::now();
             let mut ops = 0u64;
@@ -578,11 +421,7 @@ fn mixed_rw_rep(cfg: &PerfConfig, bg: bool) -> MixedRwRep {
                 wop(writer_store, &mut keys);
                 ops += 1;
             }
-            let rate = ops as f64 / t0.elapsed().as_secs_f64();
-            let stall =
-                writer_store.maintenance_snapshot().map(|m| m.stall_ms_total()).unwrap_or_default()
-                    - stall_before;
-            (rate, stall as f64)
+            ops as f64 / t0.elapsed().as_secs_f64()
         });
         barrier.wait();
         let t0 = Instant::now();
@@ -591,50 +430,23 @@ fn mixed_rw_rep(cfg: &PerfConfig, bg: bool) -> MixedRwRep {
         }
         let elapsed = t0.elapsed().as_secs_f64();
         stop.store(true, Ordering::Relaxed);
-        let (writer_rate, stall_ms) = writer.join().expect("writer thread panicked");
-        MixedRwRep {
-            readers_ops_per_sec: (readers as u64 * cfg.ops) as f64 / elapsed,
-            writer_ops_per_sec: writer_rate,
-            stall_ms,
-        }
+        let writer_rate = writer.join().expect("writer thread panicked");
+        ((readers as u64 * cfg.ops) as f64 / elapsed, writer_rate)
     })
 }
 
-/// The contended A/B quad: the mixed read/write leg with inline and with
-/// background maintenance, repetitions interleaved (see
-/// [`bench_put_heavy_pair`] for why). Four records: reader aggregate and
-/// writer ops/sec for each side — `store-mixed-rw`,
-/// `store-mixed-rw-writer`, `store-mixed-rw-bg`,
-/// `store-mixed-rw-writer-bg`.
-pub fn bench_mixed_rw_pair(cfg: &PerfConfig) -> Vec<PerfRecord> {
-    let mut inline_readers = Vec::with_capacity(cfg.reps);
-    let mut inline_writer = Vec::with_capacity(cfg.reps);
-    let mut bg_readers = Vec::with_capacity(cfg.reps);
-    let mut bg_writer = Vec::with_capacity(cfg.reps);
-    let mut bg_stalls = Vec::with_capacity(cfg.reps);
-    for _ in 0..cfg.reps {
-        let a = mixed_rw_rep(cfg, false);
-        inline_readers.push(a.readers_ops_per_sec);
-        inline_writer.push(a.writer_ops_per_sec);
-        let b = mixed_rw_rep(cfg, true);
-        bg_readers.push(b.readers_ops_per_sec);
-        bg_writer.push(b.writer_ops_per_sec);
-        bg_stalls.push(b.stall_ms);
-    }
-    let rec = |bench: &str, rates: Vec<f64>, stall: Option<f64>| PerfRecord {
+/// The contended mixed read/write leg: two records, the reader aggregate
+/// (`store-mixed-rw`) and the writer's own ops/sec
+/// (`store-mixed-rw-writer`).
+pub fn bench_mixed_rw(cfg: &PerfConfig) -> Vec<PerfRecord> {
+    let (readers, writer): (Vec<f64>, Vec<f64>) = (0..cfg.reps).map(|_| mixed_rw_rep(cfg)).unzip();
+    let rec = |bench: &str, rates: Vec<f64>| PerfRecord {
         bench: bench.into(),
         ops_per_sec: Some(median(rates)),
         ticks_per_sec: None,
         threads: cfg.clients,
-        stall_ms: stall,
     };
-    let bg_stall = Some(median(bg_stalls));
-    vec![
-        rec("store-mixed-rw", inline_readers, None),
-        rec("store-mixed-rw-writer", inline_writer, None),
-        rec("store-mixed-rw-bg", bg_readers, None),
-        rec("store-mixed-rw-writer-bg", bg_writer, bg_stall),
-    ]
+    vec![rec("store-mixed-rw", readers), rec("store-mixed-rw-writer", writer)]
 }
 
 /// One timed repetition of the fig4 cluster: rebuild the scenario from the
@@ -662,7 +474,6 @@ pub fn bench_fig4_ticks(cfg: &PerfConfig) -> PerfRecord {
         ops_per_sec: None,
         ticks_per_sec: Some(median(rates)),
         threads: 1,
-        stall_ms: None,
     }
 }
 
@@ -674,14 +485,16 @@ pub fn bench_fig4_ticks(cfg: &PerfConfig) -> PerfRecord {
 /// run.
 pub fn run_suite(cfg: &PerfConfig) -> Vec<PerfRecord> {
     let mut out = vec![bench_fig4_ticks(cfg)];
-    out.extend([bench_point_get(cfg), bench_scan_heavy(cfg)]);
-    let (put_inline, put_bg) = bench_put_heavy_pair(cfg);
-    out.push(put_inline);
-    out.push(put_bg);
-    out.extend([bench_put_heavy_wal_sync(cfg), bench_put_heavy_wal_group(cfg)]);
+    out.extend([
+        bench_point_get(cfg),
+        bench_scan_heavy(cfg),
+        bench_put_heavy(cfg),
+        bench_put_heavy_wal_sync(cfg),
+        bench_put_heavy_wal_group(cfg),
+    ]);
     if cfg.clients > 1 {
         out.extend([bench_point_get_threaded(cfg), bench_scan_heavy_threaded(cfg)]);
-        out.extend(bench_mixed_rw_pair(cfg));
+        out.extend(bench_mixed_rw(cfg));
     }
     out
 }
@@ -723,44 +536,16 @@ mod tests {
     }
 
     #[test]
-    fn put_heavy_pair_reports_both_sides_with_stall_on_bg() {
+    fn mixed_rw_reports_reader_and_writer_records() {
         let cfg = smoke_cfg();
-        let (inline, bg) = bench_put_heavy_pair(&cfg);
-        assert_eq!(inline.bench, "store-put-heavy");
-        assert_eq!(bg.bench, "store-put-heavy-bg");
-        for rec in [&inline, &bg] {
-            let rate = rec.ops_per_sec.expect("put-heavy legs report ops/sec");
-            assert!(rate > 0.0 && rate.is_finite(), "{}: rate {rate}", rec.bench);
-            assert_eq!(rec.threads, 1);
-        }
-        assert!(inline.stall_ms.is_none(), "inline leg has no pipeline to stall on");
-        let stall = bg.stall_ms.expect("background leg reports stall time");
-        assert!(stall >= 0.0 && stall.is_finite());
-    }
-
-    #[test]
-    fn mixed_rw_pair_reports_reader_and_writer_records_for_both_sides() {
-        let cfg = smoke_cfg();
-        let recs = bench_mixed_rw_pair(&cfg);
+        let recs = bench_mixed_rw(&cfg);
         let names: Vec<&str> = recs.iter().map(|r| r.bench.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "store-mixed-rw",
-                "store-mixed-rw-writer",
-                "store-mixed-rw-bg",
-                "store-mixed-rw-writer-bg"
-            ]
-        );
+        assert_eq!(names, ["store-mixed-rw", "store-mixed-rw-writer"]);
         for rec in &recs {
             let rate = rec.ops_per_sec.expect("contended legs report ops/sec");
             assert!(rate > 0.0 && rate.is_finite(), "{}: rate {rate}", rec.bench);
             assert_eq!(rec.threads, cfg.clients, "{}", rec.bench);
         }
-        assert!(
-            recs.iter().all(|r| (r.bench == "store-mixed-rw-writer-bg") == r.stall_ms.is_some()),
-            "only the background writer record carries stall time"
-        );
     }
 
     #[test]
@@ -779,14 +564,6 @@ mod tests {
         assert!(
             recs.iter().any(|r| r.bench == "store-mixed-rw" && r.threads == cfg.clients),
             "mixed read/write record missing"
-        );
-        assert!(
-            recs.iter().any(|r| r.bench == "store-put-heavy-bg" && r.threads == 1),
-            "background put-heavy record missing"
-        );
-        assert!(
-            recs.iter().any(|r| r.bench == "store-mixed-rw-writer-bg" && r.threads == cfg.clients),
-            "background mixed writer record missing"
         );
         let solo = PerfConfig { clients: 1, ..cfg };
         assert!(

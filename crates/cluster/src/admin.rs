@@ -76,15 +76,6 @@ pub struct PartitionMetrics {
     /// awaiting replay. Non-zero only between a crash and the partition's
     /// re-homing; the control plane reads it to report recovery work.
     pub wal_backlog_bytes: u64,
-    /// Writer wall-clock lost to maintenance backpressure since creation,
-    /// milliseconds. Zero when the partition runs inline maintenance.
-    pub stall_ms: u64,
-    /// Frozen memstores awaiting a background flush right now (queue-depth
-    /// gauge; zero under inline maintenance).
-    pub frozen_memstores: u64,
-    /// Heap bytes across those frozen memstores — the flush debt the
-    /// background pipeline still owes.
-    pub maintenance_debt_bytes: u64,
 }
 
 /// A point-in-time view of the whole cluster.

@@ -13,8 +13,8 @@ use crate::admin::AdminError;
 use crate::types::ServerId;
 use bytes::Bytes;
 use hstore::{
-    Family, FileIdAllocator, KeyRange, MaintenanceConfig, MaintenanceSnapshot, OpStats, Qualifier,
-    Region, RegionCounters, RegionId, RowKey, SharedBlockCache, StoreConfig, StoreError,
+    Family, FileIdAllocator, KeyRange, OpStats, Qualifier, Region, RegionCounters, RegionId,
+    RowKey, SharedBlockCache, StoreConfig, StoreError,
 };
 use simcore::SimRng;
 use std::collections::BTreeMap;
@@ -74,6 +74,14 @@ struct TableMeta {
     regions: BTreeMap<Option<RowKey>, RegionId>,
 }
 
+/// Writer backpressure a region's maintenance imposed; see
+/// [`FunctionalCluster::region_maintenance_pressure`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MaintenanceSnapshot {
+    /// Total writer wall-clock stalled on maintenance, µs.
+    pub stall_micros_total: u64,
+}
+
 /// A whole functional cluster.
 pub struct FunctionalCluster {
     servers: BTreeMap<ServerId, FunctionalServer>,
@@ -83,9 +91,6 @@ pub struct FunctionalCluster {
     next_region: u64,
     next_server: u64,
     rng: SimRng,
-    /// When set, every region (current and future — splits, moves, new
-    /// tables) runs the background maintenance pipeline with this config.
-    bg_maintenance: Option<MaintenanceConfig>,
 }
 
 impl FunctionalCluster {
@@ -99,7 +104,6 @@ impl FunctionalCluster {
             next_region: 1,
             next_server: 1,
             rng: SimRng::new(seed).derive("functional"),
-            bg_maintenance: None,
         }
     }
 
@@ -150,7 +154,7 @@ impl FunctionalCluster {
             self.next_region += 1;
             let server_id = order[i % order.len()];
             let server = self.servers.get_mut(&server_id).expect("server vanished");
-            let mut region = Region::new(
+            let region = Region::new(
                 rid,
                 name.clone(),
                 range,
@@ -160,9 +164,6 @@ impl FunctionalCluster {
                 server.config.block_size,
                 server.config.memstore_flush_bytes,
             );
-            if let Some(cfg) = self.bg_maintenance {
-                region.enable_background_maintenance(cfg);
-            }
             server.regions.insert(rid, region);
             self.assignment.insert(rid, server_id);
             meta.regions.insert(start.clone(), rid);
@@ -364,51 +365,11 @@ impl FunctionalCluster {
         Ok((out, stats))
     }
 
-    /// Switches every region — current and future — onto the background
-    /// maintenance pipeline: flushes and compactions run on dedicated
-    /// threads per store and the write path only pays backpressure.
-    /// [`FunctionalCluster::maintenance`] keeps handling splits; its
-    /// inline flush/compact passes stand down per region automatically.
-    pub fn enable_background_maintenance(&mut self, cfg: MaintenanceConfig) {
-        self.bg_maintenance = Some(cfg);
-        for server in self.servers.values_mut() {
-            for region in server.regions.values_mut() {
-                region.enable_background_maintenance(cfg);
-            }
-        }
-    }
-
-    /// Drains and stops every region's background pipeline; the cluster
-    /// reverts to inline maintenance (including for future regions).
-    pub fn disable_background_maintenance(&mut self) {
-        self.bg_maintenance = None;
-        for server in self.servers.values_mut() {
-            for region in server.regions.values_mut() {
-                region.disable_background_maintenance();
-            }
-        }
-    }
-
-    /// Whether regions run the background maintenance pipeline.
-    pub fn background_maintenance_enabled(&self) -> bool {
-        self.bg_maintenance.is_some()
-    }
-
-    /// Quiesce: blocks until every region's queued background work has
-    /// published. Benchmarks call this before measuring final state.
-    pub fn drain_background_maintenance(&mut self) {
-        for server in self.servers.values_mut() {
-            for region in server.regions.values_mut() {
-                region.drain_background_maintenance();
-            }
-        }
-    }
-
-    /// One region's aggregated maintenance pressure (stall time, queue
-    /// depth, debt), if it runs the background pipeline.
-    pub fn region_maintenance_pressure(&self, rid: RegionId) -> Option<MaintenanceSnapshot> {
-        let sid = self.assignment.get(&rid)?;
-        self.region_ref(rid, *sid).maintenance_pressure()
+    /// Writer stall a region's maintenance imposed. Always `None`:
+    /// flushes and compactions run inline on the caller of
+    /// [`FunctionalCluster::maintenance`], so no writer ever waits on them.
+    pub fn region_maintenance_pressure(&self, _rid: RegionId) -> Option<MaintenanceSnapshot> {
+        None
     }
 
     /// Runs maintenance on every server: threshold flushes, minor
@@ -448,9 +409,6 @@ impl FunctionalCluster {
             .ok_or(AdminError::UnknownPartition(crate::types::PartitionId(rid.0)))?;
         let server = self.servers.get_mut(&sid).expect("assignment broken");
         let region = server.regions.get_mut(&rid).expect("assignment broken");
-        // Quiesce the background pipeline so the split exports a stable
-        // file set (and the daughters start with no debt).
-        region.drain_background_maintenance();
         let Some(mid) = region.split_point() else {
             return Err(FunctionalError::Store(StoreError::BadSplitPoint(
                 "no usable split point".into(),
@@ -463,7 +421,7 @@ impl FunctionalCluster {
         self.next_region += 2;
 
         let region = server.regions.remove(&rid).expect("just looked up");
-        let (mut lo, mut hi) = region.split(
+        let (lo, hi) = region.split(
             mid.clone(),
             lo_id,
             hi_id,
@@ -471,10 +429,6 @@ impl FunctionalCluster {
             self.ids.clone(),
             server.config.block_size,
         )?;
-        if let Some(cfg) = self.bg_maintenance {
-            lo.enable_background_maintenance(cfg);
-            hi.enable_background_maintenance(cfg);
-        }
         server.regions.insert(lo_id, lo);
         server.regions.insert(hi_id, hi);
         self.assignment.remove(&rid);
@@ -513,10 +467,7 @@ impl FunctionalCluster {
         region.flush_all();
         let dst = self.servers.get_mut(&to).expect("just checked");
         // Rebuild the region against the destination's cache/config.
-        let mut rebuilt = rebuild_region(region, dst, self.ids.clone());
-        if let Some(cfg) = self.bg_maintenance {
-            rebuilt.enable_background_maintenance(cfg);
-        }
+        let rebuilt = rebuild_region(region, dst, self.ids.clone());
         dst.regions.insert(rid, rebuilt);
         self.assignment.insert(rid, to);
         Ok(())
@@ -570,10 +521,7 @@ impl FunctionalCluster {
             let region =
                 self.servers.get_mut(&sid).expect("checked").regions.remove(&rid).expect("listed");
             let dst = self.servers.get_mut(&sid).expect("checked");
-            let mut rebuilt = rebuild_region(region, dst, self.ids.clone());
-            if let Some(cfg) = self.bg_maintenance {
-                rebuilt.enable_background_maintenance(cfg);
-            }
+            let rebuilt = rebuild_region(region, dst, self.ids.clone());
             dst.regions.insert(rid, rebuilt);
         }
         Ok(())
@@ -745,41 +693,6 @@ mod tests {
             c.get("missing", &"cf".into(), &"r".into(), &"q".into()),
             Err(FunctionalError::UnknownTable(_))
         ));
-    }
-
-    #[test]
-    fn background_maintenance_spans_current_and_future_regions() {
-        let mut c = cluster_with(2);
-        c.create_table("t", &[Family::from("cf")], &["m".into()]).unwrap();
-        c.enable_background_maintenance(MaintenanceConfig {
-            memstore_flush_bytes: 2_000,
-            ..MaintenanceConfig::default()
-        });
-        for i in 0..400 {
-            c.put("t", &"cf".into(), format!("row{i:04}").into(), "q".into(), b(&"x".repeat(40)))
-                .unwrap();
-        }
-        c.drain_background_maintenance();
-        let pressures: Vec<MaintenanceSnapshot> = c
-            .table_regions("t")
-            .into_iter()
-            .filter_map(|rid| c.region_maintenance_pressure(rid))
-            .collect();
-        assert_eq!(pressures.len(), 2, "both regions run the pipeline");
-        assert!(pressures.iter().any(|p| p.flushes_completed > 0), "{pressures:?}");
-        assert!(pressures.iter().all(|p| p.frozen_memstores == 0), "drained");
-        // A moved region keeps the pipeline on its new host.
-        let rid = c.table_regions("t")[0];
-        let from = c.region_server(rid).unwrap();
-        let to = c.server_ids().into_iter().find(|s| *s != from).unwrap();
-        c.move_region(rid, to).unwrap();
-        assert!(c.region_maintenance_pressure(rid).is_some());
-        // Every row survived flushes, compactions and the move.
-        let rows = c.scan("t", &"cf".into(), &"row0000".into(), 1_000).unwrap();
-        assert_eq!(rows.len(), 400);
-        // Disabling reverts to inline maintenance everywhere.
-        c.disable_background_maintenance();
-        assert!(c.table_regions("t").iter().all(|r| c.region_maintenance_pressure(*r).is_none()));
     }
 
     #[test]

@@ -99,7 +99,6 @@ impl ElasticCluster for FunctionalElastic {
         for (rid, sid) in self.db.all_regions() {
             regions_by_server.entry(sid).or_default().push(PartitionId(rid.0));
             let c = self.db.region_counters(rid).unwrap_or_default();
-            let pressure = self.db.region_maintenance_pressure(rid).unwrap_or_default();
             partitions.push(PartitionMetrics {
                 partition: PartitionId(rid.0),
                 table: self.db.region_table(rid).unwrap_or_default(),
@@ -109,9 +108,6 @@ impl ElasticCluster for FunctionalElastic {
                 // No DFS under the functional layer: always local.
                 locality: 1.0,
                 wal_backlog_bytes: 0,
-                stall_ms: pressure.stall_ms_total(),
-                frozen_memstores: pressure.frozen_memstores,
-                maintenance_debt_bytes: pressure.debt_bytes,
             });
         }
         let servers = self

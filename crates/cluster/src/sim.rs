@@ -1742,11 +1742,6 @@ impl ElasticCluster for SimCluster {
                 assigned_to: self.assignment.get(id).copied(),
                 locality: localities.get(id).copied().unwrap_or(1.0),
                 wal_backlog_bytes: p.recovery_backlog as u64,
-                // The metadata simulation does not run the real background
-                // pipeline; maintenance pressure only exists functionally.
-                stall_ms: 0,
-                frozen_memstores: 0,
-                maintenance_debt_bytes: 0,
             })
             .collect();
         ClusterSnapshot { at: self.now, servers, partitions }

@@ -454,9 +454,6 @@ mod tests {
                 assigned_to: p.assigned_to,
                 locality: 1.0,
                 wal_backlog_bytes: 0,
-                stall_ms: 0,
-                frozen_memstores: 0,
-                maintenance_debt_bytes: 0,
             })
             .collect();
         ClusterSnapshot { at: SimTime::ZERO, servers, partitions }

@@ -82,9 +82,6 @@ pub struct Monitor {
     servers: BTreeMap<ServerId, ServerSmooth>,
     partitions: BTreeMap<PartitionId, PartitionSmooth>,
     prev_counters: BTreeMap<PartitionId, PartitionCounters>,
-    /// Per-partition stall time at the previous observation, so writer
-    /// stalls surface as interval deltas (events + counter increments).
-    prev_stall_ms: BTreeMap<PartitionId, u64>,
     samples: usize,
     history: std::collections::VecDeque<(simcore::SimTime, MonitorReport)>,
     history_size: usize,
@@ -111,7 +108,6 @@ impl Monitor {
             servers: BTreeMap::new(),
             partitions: BTreeMap::new(),
             prev_counters: BTreeMap::new(),
-            prev_stall_ms: BTreeMap::new(),
             samples: 0,
             history: std::collections::VecDeque::new(),
             history_size,
@@ -224,40 +220,6 @@ impl Monitor {
         self.servers.retain(|id, _| live.contains(id));
 
         for p in &snapshot.partitions {
-            // Maintenance pressure: the background pipeline's stall time is
-            // a counter (publish the interval delta), queue depth and debt
-            // are gauges (publish the level).
-            let prev_stall = self.prev_stall_ms.insert(p.partition, p.stall_ms).unwrap_or(0);
-            let stall_delta = p.stall_ms.saturating_sub(prev_stall);
-            let partition_label = p.partition.0.to_string();
-            if stall_delta > 0 {
-                self.telemetry.counter_add(
-                    "met_store_stall_ms_total",
-                    &[("partition", &partition_label)],
-                    stall_delta,
-                );
-                self.telemetry.emit(
-                    snapshot.at,
-                    TelemetryEvent::WriterStalled {
-                        server: p.assigned_to.map(|s| s.0).unwrap_or(0),
-                        region: p.partition.0,
-                        stall_ms: stall_delta,
-                        reason: "maintenance_backpressure".to_string(),
-                    },
-                );
-            }
-            if p.frozen_memstores > 0 || p.maintenance_debt_bytes > 0 || p.stall_ms > 0 {
-                self.telemetry.gauge_set(
-                    "met_store_frozen_memstores",
-                    &[("partition", &partition_label)],
-                    p.frozen_memstores as f64,
-                );
-                self.telemetry.gauge_set(
-                    "met_store_maintenance_debt_bytes",
-                    &[("partition", &partition_label)],
-                    p.maintenance_debt_bytes as f64,
-                );
-            }
             let prev = self.prev_counters.insert(p.partition, p.counters);
             let (dr, dw, ds) = match prev {
                 Some(prev) => (
@@ -377,39 +339,12 @@ mod tests {
                 assigned_to: Some(ServerId(1)),
                 locality: 0.95,
                 wal_backlog_bytes: 0,
-                stall_ms: 0,
-                frozen_memstores: 0,
-                maintenance_debt_bytes: 0,
             }],
         }
     }
 
     fn counters(reads: u64, writes: u64) -> PartitionCounters {
         PartitionCounters { reads, writes, scans: 0 }
-    }
-
-    #[test]
-    fn maintenance_stall_deltas_reach_telemetry() {
-        let mut m = Monitor::new(0.5);
-        let t = telemetry::Telemetry::with_ring(telemetry::Verbosity::Info, 64);
-        m.set_telemetry(t.clone());
-        let mut s1 = snap(0, 0.5, counters(0, 0));
-        s1.partitions[0].stall_ms = 100;
-        s1.partitions[0].frozen_memstores = 2;
-        m.observe(&s1);
-        let mut s2 = snap(30, 0.5, counters(10, 10));
-        s2.partitions[0].stall_ms = 250;
-        m.observe(&s2);
-        // Counter totals are interval deltas: 100 then 150.
-        assert_eq!(t.counter_total("met_store_stall_ms_total"), 250);
-        // Gauges track the latest level (drained by the second sample).
-        assert_eq!(t.gauge_value("met_store_frozen_memstores", &[("partition", "1")]), Some(0.0));
-        let stalls = t
-            .events()
-            .into_iter()
-            .filter(|e| matches!(e.data, TelemetryEvent::WriterStalled { .. }))
-            .count();
-        assert_eq!(stalls, 2, "each interval with stall growth emits one event");
     }
 
     #[test]

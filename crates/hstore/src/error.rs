@@ -7,7 +7,7 @@
 //! crates without adapters.
 
 use crate::block_cache::FileId;
-use crate::types::{Family, KeyRange, RowKey};
+use crate::types::{Family, KeyRange, Qualifier, RowKey};
 use std::fmt;
 
 /// Why a checksum mismatch was attributed to stored bytes.
@@ -69,6 +69,26 @@ pub enum HStoreError {
         /// Bytes that were pending in the failed sync.
         pending_bytes: u64,
     },
+    /// An increment addressed a cell whose value is not a decimal `i64`
+    /// (HBase's "Field is not a long"). The cell is left untouched.
+    NotALong {
+        /// Row of the offending cell.
+        row: RowKey,
+        /// Column of the offending cell.
+        qualifier: Qualifier,
+    },
+    /// An increment would take the cell past the `i64` range. The cell is
+    /// left untouched.
+    IncrementOverflow {
+        /// Row of the offending cell.
+        row: RowKey,
+        /// Column of the offending cell.
+        qualifier: Qualifier,
+        /// The cell's current value.
+        current: i64,
+        /// The requested delta.
+        delta: i64,
+    },
 }
 
 impl fmt::Display for HStoreError {
@@ -87,6 +107,15 @@ impl fmt::Display for HStoreError {
                     f,
                     "WAL sync failed on segment {segment} with {pending_bytes} bytes pending; \
                      write not acknowledged"
+                )
+            }
+            HStoreError::NotALong { row, qualifier } => {
+                write!(f, "cell '{row}'/'{qualifier}' is not a long; increment refused")
+            }
+            HStoreError::IncrementOverflow { row, qualifier, current, delta } => {
+                write!(
+                    f,
+                    "incrementing cell '{row}'/'{qualifier}' ({current}) by {delta} overflows"
                 )
             }
         }

@@ -15,10 +15,6 @@
 //!   MeT tunes per node profile.
 //! * [`store`] — the per-column-family LSM store: merge reads, scans,
 //!   flushes, minor/major compactions.
-//! * [`maintenance`] — the background maintenance pipeline: async flush
-//!   and parallel compaction off the write path, with HBase-style
-//!   backpressure (bounded frozen queue, blocking-store-files limit) and
-//!   stall/queue/debt accounting for the monitor.
 //! * [`region`] — key-range partitions with per-type request counters, the
 //!   unit of placement MeT moves between servers.
 //! * [`config`] — RegionServer configuration with the documented
@@ -40,7 +36,6 @@ pub mod bloom;
 pub mod config;
 pub mod error;
 pub mod hfile;
-pub mod maintenance;
 pub mod memstore;
 pub mod region;
 pub mod store;
@@ -52,7 +47,6 @@ pub use block_cache::{
 };
 pub use config::{ConfigError, StoreConfig, HEAP_BUDGET_CAP};
 pub use error::{CorruptionKind, HStoreError, Result, StoreError};
-pub use maintenance::{MaintenanceConfig, MaintenanceSnapshot};
 pub use region::{Region, RegionCounters, RegionId};
 pub use store::{
     CfStore, CompactionOutcome, DurableState, FileIdAllocator, FlushOutcome, OpStats,

@@ -24,8 +24,8 @@ impl MemStore {
     }
 
     /// Inserts a cell version (a put, or a tombstone when `value` is
-    /// `None`). Returns the net change in heap bytes.
-    pub fn insert(&mut self, key: InternalKey, value: Option<Bytes>) -> isize {
+    /// `None`).
+    pub fn insert(&mut self, key: InternalKey, value: Option<Bytes>) {
         let added = CellVersion { key: key.clone(), value: value.clone() }.heap_size();
         let removed = self
             .cells
@@ -33,7 +33,6 @@ impl MemStore {
             .map(|old| CellVersion { key, value: old }.heap_size())
             .unwrap_or(0);
         self.heap_bytes = self.heap_bytes + added - removed;
-        added as isize - removed as isize
     }
 
     /// Newest visible version at `key`'s coordinate with timestamp ≤ any.

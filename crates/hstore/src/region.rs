@@ -7,7 +7,6 @@
 
 use crate::block_cache::SharedBlockCache;
 use crate::error::{Result, StoreError};
-use crate::maintenance::{MaintenanceConfig, MaintenanceSnapshot};
 use crate::store::{
     CfStore, CompactionOutcome, FileIdAllocator, FlushOutcome, OpStats, StoreSnapshot,
 };
@@ -90,10 +89,6 @@ pub struct Region {
     counters: CounterCells,
     memstore_flush_bytes: u64,
     telemetry: telemetry::Telemetry,
-    /// Aggregated maintenance counters as of the last
-    /// [`Region::record_maintenance_pressure`], so cumulative snapshot
-    /// values can be turned into monotonic counter increments.
-    last_maintenance: MaintenanceSnapshot,
 }
 
 impl Region {
@@ -124,7 +119,6 @@ impl Region {
             counters: CounterCells::default(),
             memstore_flush_bytes,
             telemetry: telemetry::Telemetry::disabled(),
-            last_maintenance: MaintenanceSnapshot::default(),
         }
     }
 
@@ -329,94 +323,14 @@ impl Region {
         Ok(self.family_ref(family)?.snapshot())
     }
 
-    /// Starts the background maintenance pipeline on every family store:
-    /// flushes and compactions leave the write path and writers only pay
-    /// backpressure (see [`MaintenanceConfig`]). The inline
-    /// [`Region::maybe_flush`] / [`Region::maybe_compact`] paths skip
-    /// maintenance-enabled families from here on.
-    pub fn enable_background_maintenance(&mut self, cfg: MaintenanceConfig) {
-        for s in self.families.values_mut() {
-            s.start_maintenance(cfg);
-        }
-    }
-
-    /// Drains and stops every family's background pipeline; the region
-    /// reverts to inline maintenance.
-    pub fn disable_background_maintenance(&mut self) {
-        for s in self.families.values_mut() {
-            s.stop_maintenance();
-        }
-    }
-
-    /// Whether any family runs the background maintenance pipeline.
-    pub fn background_maintenance_enabled(&self) -> bool {
-        self.families.values().any(CfStore::maintenance_enabled)
-    }
-
-    /// Quiesce: blocks until every queued background flush/compaction has
-    /// published and the earned WAL truncations are applied.
-    pub fn drain_background_maintenance(&mut self) {
-        for s in self.families.values_mut() {
-            s.drain_maintenance();
-        }
-    }
-
-    /// Aggregated background-pipeline pressure across families: queue
-    /// depths, stall time and maintenance debt. `None` when no family
-    /// runs the pipeline.
-    pub fn maintenance_pressure(&self) -> Option<MaintenanceSnapshot> {
-        let mut agg = MaintenanceSnapshot::default();
-        let mut any = false;
-        for s in self.families.values() {
-            if let Some(snap) = s.maintenance_snapshot() {
-                agg.merge(&snap);
-                any = true;
-            }
-        }
-        any.then_some(agg)
-    }
-
-    /// Publishes the current maintenance pressure to telemetry — monotonic
-    /// counters get the delta since the previous call, gauges the level —
-    /// and returns the snapshot. The monitor calls this once per interval.
-    pub fn record_maintenance_pressure(&mut self) -> Option<MaintenanceSnapshot> {
-        let snap = self.maintenance_pressure()?;
-        let prev = std::mem::replace(&mut self.last_maintenance, snap);
-        let delta = |now: u64, before: u64| now.saturating_sub(before);
-        self.telemetry.counter_add(
-            "met_store_stall_ms_total",
-            &[],
-            delta(snap.stall_ms_total(), prev.stall_ms_total()),
-        );
-        self.telemetry.counter_add(
-            "met_store_writer_stalls_total",
-            &[],
-            delta(snap.writer_stalls, prev.writer_stalls),
-        );
-        self.telemetry.counter_add(
-            "met_store_bg_flushes_total",
-            &[],
-            delta(snap.flushes_completed, prev.flushes_completed),
-        );
-        self.telemetry.counter_add(
-            "met_store_bg_compactions_total",
-            &[],
-            delta(snap.compactions_completed, prev.compactions_completed),
-        );
-        self.telemetry.gauge_set("met_store_frozen_memstores", &[], snap.frozen_memstores as f64);
-        self.telemetry.gauge_set("met_store_maintenance_debt_bytes", &[], snap.debt_bytes as f64);
-        Some(snap)
-    }
-
     /// Flushes any family whose memstore exceeds the per-region flush
-    /// threshold; returns the flush outcomes. Families running background
-    /// maintenance are skipped — their flushes happen off the write path.
+    /// threshold; returns the flush outcomes.
     pub fn maybe_flush(&mut self) -> Vec<FlushOutcome> {
         let threshold = self.memstore_flush_bytes;
         let outcomes: Vec<FlushOutcome> = self
             .families
             .values_mut()
-            .filter(|s| !s.maintenance_enabled() && s.memstore_bytes() as u64 >= threshold)
+            .filter(|s| s.memstore_bytes() as u64 >= threshold)
             .filter_map(|s| s.flush())
             .collect();
         self.record_flushes(&outcomes);
@@ -450,13 +364,12 @@ impl Region {
     }
 
     /// Runs a minor compaction on families at/over the file-count
-    /// threshold. Families running background maintenance are skipped —
-    /// the compactor pool owns their file counts.
+    /// threshold.
     pub fn maybe_compact(&mut self, threshold: usize) -> Vec<CompactionOutcome> {
         let outcomes: Vec<CompactionOutcome> = self
             .families
             .values_mut()
-            .filter(|s| !s.maintenance_enabled() && s.file_count() >= threshold)
+            .filter(|s| s.file_count() >= threshold)
             .filter_map(|s| s.compact_minor(threshold))
             .collect();
         self.record_compactions("minor", &outcomes);
@@ -569,7 +482,6 @@ impl Region {
             counters: CounterCells::from_snapshot(half),
             memstore_flush_bytes: flush,
             telemetry: self.telemetry.clone(),
-            last_maintenance: MaintenanceSnapshot::default(),
         };
         let hi = Region {
             id: hi_id,
@@ -579,7 +491,6 @@ impl Region {
             counters: CounterCells::from_snapshot(half),
             memstore_flush_bytes: flush,
             telemetry: self.telemetry,
-            last_maintenance: MaintenanceSnapshot::default(),
         };
         Ok((lo, hi))
     }
@@ -703,39 +614,6 @@ mod tests {
         let ids = FileIdAllocator::new();
         let err = r.split("z".into(), RegionId(2), RegionId(3), cache, ids, 512).unwrap_err();
         assert!(matches!(err, StoreError::BadSplitPoint(_)));
-    }
-
-    #[test]
-    fn background_maintenance_covers_every_family_and_reports_pressure() {
-        let mut r = region(KeyRange::all());
-        let t = telemetry::Telemetry::new(telemetry::Verbosity::Off);
-        r.set_telemetry(t.clone());
-        r.enable_background_maintenance(MaintenanceConfig {
-            memstore_flush_bytes: 1_000,
-            ..MaintenanceConfig::default()
-        });
-        assert!(r.background_maintenance_enabled());
-        for i in 0..300 {
-            r.put(&"cf".into(), format!("row{i:03}").into(), "c".into(), b(&"x".repeat(40)))
-                .unwrap();
-        }
-        r.drain_background_maintenance();
-        // Inline maintenance stands down while the pipeline owns the family.
-        assert!(r.maybe_flush().is_empty());
-        assert!(r.maybe_compact(1).is_empty());
-        let snap = r.record_maintenance_pressure().unwrap();
-        assert!(snap.flushes_completed > 0, "background flushes published: {snap:?}");
-        assert_eq!(snap.frozen_memstores, 0, "drained");
-        assert_eq!(t.counter_total("met_store_bg_flushes_total"), snap.flushes_completed);
-        assert_eq!(t.gauge_value("met_store_frozen_memstores", &[]), Some(0.0));
-        // Counter publishing is delta-based: a second call with no new
-        // work adds nothing.
-        r.record_maintenance_pressure().unwrap();
-        assert_eq!(t.counter_total("met_store_bg_flushes_total"), snap.flushes_completed);
-        r.disable_background_maintenance();
-        assert!(!r.background_maintenance_enabled());
-        assert!(r.maintenance_pressure().is_none());
-        assert_eq!(r.scan(&"cf".into(), &"row000".into(), 1_000).unwrap().len(), 300);
     }
 
     #[test]

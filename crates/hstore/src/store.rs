@@ -26,14 +26,13 @@
 use crate::block_cache::{AccessCounter, FileId, SharedBlockCache};
 use crate::error::{CorruptionKind, HStoreError, Result};
 use crate::hfile::{HFile, HFileScanIter};
-use crate::maintenance::{MaintenanceConfig, MaintenanceHandle, MaintenanceSnapshot};
 use crate::types::{CellCoord, CellVersion, InternalKey, KeyRange, Qualifier, RowKey, Timestamp};
 use crate::wal::{ReplayStop, Wal, WalConfig};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use simcore::SimDuration;
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::memstore::{MemRangeIter, MemStore};
@@ -193,13 +192,13 @@ pub struct RecoveryReport {
 /// as long as it likes — compactions and flushes publish *new* views, they
 /// never mutate a published one.
 #[derive(Debug)]
-pub(crate) struct StoreView {
+struct StoreView {
     /// Memstores frozen by an in-flight flush, newest → oldest. Empty
     /// whenever no flush is running, so single-threaded behaviour is
     /// byte-identical to the pre-concurrency engine.
-    pub(crate) frozen: Vec<Arc<MemStore>>,
+    frozen: Vec<Arc<MemStore>>,
     /// Immutable files, oldest → newest.
-    pub(crate) files: Vec<Arc<HFile>>,
+    files: Vec<Arc<HFile>>,
 }
 
 /// The shared read side of a store: everything a concurrent reader needs.
@@ -208,18 +207,13 @@ pub(crate) struct StoreView {
 /// `active` before touching files; scans hold it for the merge). The writer
 /// takes both write locks only for the brief freeze/swap windows.
 #[derive(Debug)]
-pub(crate) struct StoreShared {
-    pub(crate) active: RwLock<MemStore>,
-    pub(crate) view: RwLock<Arc<StoreView>>,
-    pub(crate) cache: SharedBlockCache,
+struct StoreShared {
+    active: RwLock<MemStore>,
+    view: RwLock<Arc<StoreView>>,
+    cache: SharedBlockCache,
     memstore_hits: AtomicU64,
     files_probed: AtomicU64,
     bloom_skips: AtomicU64,
-    /// Live immutable-file count, maintained at every view swap that
-    /// changes the file list. The write path polls this once per put for
-    /// file-count backpressure; reading it here instead of taking the
-    /// `view` read lock keeps the poll off the lock readers contend on.
-    files_live: AtomicUsize,
 }
 
 impl StoreShared {
@@ -231,7 +225,6 @@ impl StoreShared {
             memstore_hits: AtomicU64::new(0),
             files_probed: AtomicU64::new(0),
             bloom_skips: AtomicU64::new(0),
-            files_live: AtomicUsize::new(0),
         }
     }
 
@@ -334,8 +327,8 @@ impl StoreShared {
     /// Freezes the active memstore into the view's frozen list (front =
     /// newest) under both write locks, so no reader can catch the edits in
     /// neither place. Returns `None` when the active memstore is empty.
-    /// This is the first half of every flush — inline or background.
-    pub(crate) fn freeze_active(&self) -> Option<Arc<MemStore>> {
+    /// This is the first half of every flush.
+    fn freeze_active(&self) -> Option<Arc<MemStore>> {
         let mut active = self.active.write();
         if active.is_empty() {
             return None;
@@ -351,26 +344,13 @@ impl StoreShared {
 
     /// Publishes a finished flush: the frozen memstore leaves the view as
     /// its file enters it, in one atomic swap. The read-modify-write runs
-    /// entirely inside the view write lock, so concurrent freezes and
-    /// compaction swaps serialize against it.
-    pub(crate) fn publish_flush(&self, frozen: &Arc<MemStore>, file: Arc<HFile>) {
-        self.publish_flush_batch(&[frozen], file);
-    }
-
-    /// [`StoreShared::publish_flush`] for a batched build: every memstore
-    /// in `frozen` leaves the view as their single merged file enters it,
-    /// in one atomic swap.
-    pub(crate) fn publish_flush_batch(&self, frozen: &[&Arc<MemStore>], file: Arc<HFile>) {
+    /// entirely inside the view write lock.
+    fn publish_flush(&self, frozen: &Arc<MemStore>, file: Arc<HFile>) {
         let mut view = self.view.write();
-        let next_frozen: Vec<Arc<MemStore>> = view
-            .frozen
-            .iter()
-            .filter(|m| !frozen.iter().any(|f| Arc::ptr_eq(m, f)))
-            .cloned()
-            .collect();
+        let next_frozen: Vec<Arc<MemStore>> =
+            view.frozen.iter().filter(|m| !Arc::ptr_eq(m, frozen)).cloned().collect();
         let mut next_files = view.files.clone();
         next_files.push(file);
-        self.files_live.store(next_files.len(), Ordering::Release);
         *view = Arc::new(StoreView { frozen: next_frozen, files: next_files });
     }
 
@@ -379,7 +359,7 @@ impl StoreShared {
     /// merged contiguous run keeps the oldest→newest ordering invariant
     /// even when flushes appended new files after the inputs were chosen.
     /// Returns `false` (without swapping) if none of `replaced` is present.
-    pub(crate) fn replace_files(&self, replaced: &[FileId], output: Arc<HFile>) -> bool {
+    fn replace_files(&self, replaced: &[FileId], output: Arc<HFile>) -> bool {
         {
             let mut view = self.view.write();
             let mut next_files = Vec::with_capacity(view.files.len() + 1 - replaced.len().min(1));
@@ -397,37 +377,12 @@ impl StoreShared {
             if !placed {
                 return false;
             }
-            self.files_live.store(next_files.len(), Ordering::Release);
             *view = Arc::new(StoreView { frozen: view.frozen.clone(), files: next_files });
         }
         for id in replaced {
             self.cache.invalidate_file(*id);
         }
         true
-    }
-
-    /// Heap footprint of the active memstore.
-    pub(crate) fn active_heap_bytes(&self) -> usize {
-        self.active.read().heap_bytes()
-    }
-
-    /// Frozen memstores currently awaiting a background flush, plus their
-    /// total heap bytes (the flush debt).
-    pub(crate) fn frozen_debt(&self) -> (usize, u64) {
-        let view = self.view.read().clone();
-        let bytes = view.frozen.iter().map(|m| m.heap_bytes() as u64).sum();
-        (view.frozen.len(), bytes)
-    }
-
-    /// Current immutable file count, from the maintained tally — no view
-    /// lock taken (this is on the per-put backpressure poll path).
-    pub(crate) fn file_count(&self) -> usize {
-        self.files_live.load(Ordering::Acquire)
-    }
-
-    /// The current immutable file set, oldest → newest.
-    pub(crate) fn files_snapshot(&self) -> Vec<Arc<HFile>> {
-        self.view.read().files.clone()
     }
 
     fn read_stats(&self) -> ReadPathStats {
@@ -454,14 +409,6 @@ pub struct CfStore {
     /// Write-ahead log; `None` (the default) keeps the legacy volatile
     /// write path byte for byte.
     wal: Option<Wal>,
-    /// Background maintenance pipeline; `None` (the default) keeps flushes
-    /// and compactions inline on the writer, byte for byte.
-    maintenance: Option<MaintenanceHandle>,
-    /// Writer-local mirror of the active memstore's heap bytes, updated
-    /// from each insert's returned delta. The per-put flush-threshold
-    /// check reads this instead of re-taking the `active` read lock that
-    /// every concurrent reader contends on.
-    active_bytes: usize,
 }
 
 impl CfStore {
@@ -474,99 +421,7 @@ impl CfStore {
             block_size,
             next_ts: 1,
             wal: None,
-            maintenance: None,
-            active_bytes: 0,
         }
-    }
-
-    /// Starts the background maintenance pipeline: from here on the write
-    /// path only appends to the WAL and active memstore; crossing the
-    /// flush threshold freezes the memstore (the cheap `Arc` handoff) and
-    /// hands it to a background flusher, and file-count triggers feed a
-    /// background compactor pool. Backpressure (a bounded frozen queue and
-    /// a blocking-store-files limit) first throttles, then stalls the
-    /// writer — see [`crate::maintenance::MaintenanceConfig`]. No-op if
-    /// already started.
-    pub fn start_maintenance(&mut self, cfg: MaintenanceConfig) {
-        if self.maintenance.is_none() {
-            self.maintenance = Some(MaintenanceHandle::start(
-                self.shared.clone(),
-                self.ids.clone(),
-                self.block_size,
-                cfg,
-            ));
-        }
-    }
-
-    /// Whether the background maintenance pipeline is running.
-    pub fn maintenance_enabled(&self) -> bool {
-        self.maintenance.is_some()
-    }
-
-    /// Counters of the background pipeline (queue depths, stall time,
-    /// debt), if it is running.
-    pub fn maintenance_snapshot(&self) -> Option<MaintenanceSnapshot> {
-        self.maintenance.as_ref().map(|m| m.snapshot(&self.shared))
-    }
-
-    /// Blocks until every queued background flush and compaction has
-    /// completed and published, then applies any WAL truncation the
-    /// background flushes earned. A quiesce point: afterwards the frozen
-    /// queue is empty and no compaction is in flight.
-    pub fn drain_maintenance(&mut self) {
-        if let Some(m) = &self.maintenance {
-            m.drain();
-            if let (Some(wal), Some(through)) = (&mut self.wal, m.take_pending_truncation()) {
-                wal.truncate_sealed_through(through);
-            }
-        }
-    }
-
-    /// Drains and stops the background pipeline, joining its threads. The
-    /// store reverts to inline maintenance.
-    pub fn stop_maintenance(&mut self) {
-        if let Some(m) = self.maintenance.take() {
-            m.drain();
-            if let (Some(wal), Some(through)) = (&mut self.wal, m.take_pending_truncation()) {
-                wal.truncate_sealed_through(through);
-            }
-            m.shutdown();
-        }
-    }
-
-    /// The write-path maintenance hook: applies deferred WAL truncations,
-    /// freezes + enqueues the memstore when it crosses the flush
-    /// threshold, and applies backpressure (throttle, then stall) when the
-    /// frozen queue or the store-file count runs too far ahead of the
-    /// background workers.
-    fn maintenance_tick(&mut self) {
-        let Some(m) = &self.maintenance else {
-            return;
-        };
-        if let (Some(wal), Some(through)) = (&mut self.wal, m.take_pending_truncation()) {
-            wal.truncate_sealed_through(through);
-        }
-        if self.active_bytes >= m.config().memstore_flush_bytes {
-            // Bounded frozen queue: stall until the flusher catches up.
-            m.stall_for_frozen_capacity(&self.shared);
-            // Seal the WAL segments covering the about-to-freeze edits;
-            // the flusher reports the seal index back for truncation once
-            // the HFile is published. A failed rotation sync (armed disk
-            // fault) skips the freeze — nothing is lost, the next write
-            // retries.
-            let sealed_through = match &mut self.wal {
-                Some(wal) => match wal.rotate() {
-                    Ok(idx) => Some(idx),
-                    Err(_) => return,
-                },
-                None => None,
-            };
-            if let Some(frozen) = self.shared.freeze_active() {
-                self.active_bytes = 0;
-                m.enqueue_flush(frozen, sealed_through);
-            }
-        }
-        m.backpressure_on_files(&self.shared);
     }
 
     /// A cheap cloneable read handle sharing this store's live state.
@@ -629,9 +484,7 @@ impl CfStore {
             wal.append(&key, Some(&value))?;
         }
         self.next_ts += 1;
-        let delta = self.shared.active.write().insert(key, Some(value));
-        self.active_bytes = self.active_bytes.saturating_add_signed(delta);
-        self.maintenance_tick();
+        self.shared.active.write().insert(key, Some(value));
         Ok((ts, OpStats::memstore_only()))
     }
 
@@ -660,9 +513,7 @@ impl CfStore {
             wal.append(&key, None)?;
         }
         self.next_ts += 1;
-        let delta = self.shared.active.write().insert(key, None);
-        self.active_bytes = self.active_bytes.saturating_add_signed(delta);
-        self.maintenance_tick();
+        self.shared.active.write().insert(key, None);
         Ok((ts, OpStats::memstore_only()))
     }
 
@@ -702,7 +553,10 @@ impl CfStore {
 
     /// Atomically adds `delta` to a cell holding a decimal integer
     /// (absent cells count as 0) and returns the new value — HBase's
-    /// `incrementColumnValue`.
+    /// `incrementColumnValue`. A cell that does not hold a decimal `i64`
+    /// fails with [`HStoreError::NotALong`], a sum outside the `i64` range
+    /// with [`HStoreError::IncrementOverflow`]; either way nothing is
+    /// written.
     #[inline]
     pub fn increment(&mut self, row: RowKey, qualifier: Qualifier, delta: i64) -> Result<i64> {
         self.try_increment(row, qualifier, delta).map(|(v, _)| v)
@@ -716,10 +570,16 @@ impl CfStore {
         delta: i64,
     ) -> Result<(i64, OpStats)> {
         let (current, stats) = self.try_get(&row, &qualifier)?;
-        let current = current
-            .and_then(|v| std::str::from_utf8(&v).ok().and_then(|s| s.parse::<i64>().ok()))
-            .unwrap_or(0);
-        let next = current + delta;
+        let current = match current {
+            None => 0,
+            Some(v) => match std::str::from_utf8(&v).ok().and_then(|s| s.parse::<i64>().ok()) {
+                Some(n) => n,
+                None => return Err(HStoreError::NotALong { row, qualifier }),
+            },
+        };
+        let Some(next) = current.checked_add(delta) else {
+            return Err(HStoreError::IncrementOverflow { row, qualifier, current, delta });
+        };
         self.try_put(row, qualifier, Bytes::from(next.to_string().into_bytes()))?;
         Ok((next, stats))
     }
@@ -783,10 +643,6 @@ impl CfStore {
     /// armed disk fault) the flush aborts with nothing lost: memstore and
     /// log are untouched and `None` is returned.
     pub fn flush(&mut self) -> Option<FlushOutcome> {
-        // With the background pipeline running, quiesce it first: an
-        // inline flush truncates every sealed WAL segment, which is only
-        // sound once no frozen memstore still depends on one.
-        self.drain_maintenance();
         if self.shared.active.read().is_empty() {
             return None;
         }
@@ -800,7 +656,6 @@ impl CfStore {
         // under both write locks, so no reader can catch the edits in
         // neither place (readers lock active before cloning the view).
         let frozen = self.shared.freeze_active().expect("non-empty memstore freezes");
-        self.active_bytes = 0;
         // Build the file off the frozen copy — no locks held, readers
         // proceed against the published view.
         let cells = frozen.snapshot_sorted();
@@ -819,14 +674,6 @@ impl CfStore {
     /// segments survive as the [`DurableState`] a replacement process
     /// reopens.
     pub fn crash(self) -> DurableState {
-        // Process death takes the background workers with it: queued jobs
-        // are abandoned (their frozen memstores vanish — the WAL segments
-        // covering them were never truncated, so recovery replays them)
-        // and any truncation earned by already-published flushes is simply
-        // lost, which only means recovery replays a little extra.
-        if let Some(m) = self.maintenance {
-            m.abandon();
-        }
         let files = self.shared.view.read().files.clone();
         DurableState { files, wal: self.wal.map(Wal::into_durable), block_size: self.block_size }
     }
@@ -854,7 +701,6 @@ impl CfStore {
             max_ts = max_ts.max(file.max_ts());
         }
         let mut store = CfStore::new(cache, ids, state.block_size);
-        store.shared.files_live.store(state.files.len(), Ordering::Release);
         *store.shared.view.write() = Arc::new(StoreView { frozen: Vec::new(), files: state.files });
         let mut report = RecoveryReport {
             replayed_records: 0,
@@ -891,7 +737,6 @@ impl CfStore {
             store.wal = Some(wal);
         }
         store.next_ts = max_ts + 1;
-        store.active_bytes = store.shared.active_heap_bytes();
         Ok((store, report))
     }
 
@@ -916,7 +761,6 @@ impl CfStore {
     /// Merges the oldest `k` files into one (minor compaction). All versions
     /// and tombstones are retained — only a major compaction may drop them.
     pub fn compact_minor(&mut self, k: usize) -> Option<CompactionOutcome> {
-        self.drain_maintenance();
         let files = self.shared.view.read().files.clone();
         if files.len() < 2 || k < 2 {
             return None;
@@ -929,7 +773,6 @@ impl CfStore {
     /// coordinate and dropping tombstones — HBase's major compact, which is
     /// also what restores DFS locality after region moves (§2.1).
     pub fn compact_major(&mut self) -> Option<CompactionOutcome> {
-        self.drain_maintenance();
         let files = self.shared.view.read().files.clone();
         if files.is_empty() {
             return None;
@@ -965,7 +808,7 @@ impl CfStore {
 
     /// Number of immutable files (read amplification indicator).
     pub fn file_count(&self) -> usize {
-        self.shared.file_count()
+        self.shared.view.read().files.len()
     }
 
     /// Ids and sizes of the current files (DFS registration).
@@ -1026,7 +869,6 @@ impl CfStore {
             let mut sorted = cells;
             sorted.sort_by(|a, b| a.key.cmp(&b.key));
             let file = HFile::build(store.ids.next(), sorted, block_size);
-            store.shared.files_live.store(1, Ordering::Release);
             *store.shared.view.write() =
                 Arc::new(StoreView { frozen: Vec::new(), files: vec![Arc::new(file)] });
         }
@@ -1039,17 +881,11 @@ impl CfStore {
     }
 }
 
-/// The heavy half of a compaction, shared by the inline path and the
-/// background compactor pool: loser-tree merges `inputs` (oldest→newest)
-/// into one file with **no store locks held**. Minor compactions retain
+/// The heavy half of a compaction: loser-tree merges `inputs`
+/// (oldest→newest) into one file with **no store locks held**. Minor compactions retain
 /// every version and tombstone; major compactions keep only the newest
 /// version per coordinate and drop tombstones once they have shadowed.
-pub(crate) fn merge_file_set(
-    inputs: &[Arc<HFile>],
-    out_id: FileId,
-    block_size: u64,
-    major: bool,
-) -> HFile {
+fn merge_file_set(inputs: &[Arc<HFile>], out_id: FileId, block_size: u64, major: bool) -> HFile {
     let _span = telemetry::span::span_labeled(
         "hstore.compact",
         &[("kind", if major { "major" } else { "minor" })],
@@ -1636,6 +1472,28 @@ mod tests {
         s.flush();
         assert_eq!(s.increment("ctr".into(), "n".into(), 7).unwrap(), 10);
         assert_eq!(s.get(&"ctr".into(), &"n".into()), Some(b("10")));
+    }
+
+    #[test]
+    fn increment_refuses_a_cell_that_is_not_a_long() {
+        let mut s = store();
+        s.put("r".into(), "c".into(), b("abc"));
+        let err = s.increment("r".into(), "c".into(), 5).unwrap_err();
+        assert!(matches!(err, HStoreError::NotALong { .. }), "{err}");
+        assert_eq!(s.get(&"r".into(), &"c".into()), Some(b("abc")), "cell untouched");
+    }
+
+    #[test]
+    fn increment_past_i64_max_fails_and_leaves_the_cell() {
+        let mut s = store();
+        assert_eq!(s.increment("r".into(), "c".into(), i64::MAX).unwrap(), i64::MAX);
+        let err = s.increment("r".into(), "c".into(), 1).unwrap_err();
+        assert!(
+            matches!(err, HStoreError::IncrementOverflow { current: i64::MAX, delta: 1, .. }),
+            "{err}"
+        );
+        assert_eq!(s.get(&"r".into(), &"c".into()), Some(b(&i64::MAX.to_string())));
+        assert_eq!(s.increment("r".into(), "c".into(), -1).unwrap(), i64::MAX - 1);
     }
 
     #[test]

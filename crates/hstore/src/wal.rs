@@ -375,19 +375,16 @@ impl Wal {
     /// Seals the active segment ahead of a memstore flush: staged bytes
     /// are synced into it first, then a fresh active segment opens. Edits
     /// arriving during the flush land in the new segment, so the sealed
-    /// ones cover exactly the data being flushed. Returns the index of the
-    /// segment that was sealed, so the flush can later reclaim exactly the
-    /// segments it covers via [`Wal::truncate_sealed_through`].
-    pub fn rotate(&mut self) -> Result<u64> {
+    /// ones cover exactly the data being flushed.
+    pub fn rotate(&mut self) -> Result<()> {
         self.sync()?;
-        let sealed_index = self.active.index;
-        let index = sealed_index + 1;
+        let index = self.active.index + 1;
         let sealed = std::mem::replace(&mut self.active, WalSegment { index, data: Vec::new() });
         if !sealed.data.is_empty() {
             self.sealed.push(sealed);
         }
         self.stats.rotations += 1;
-        Ok(sealed_index)
+        Ok(())
     }
 
     /// Drops every sealed segment — called once the flush that rotated
@@ -395,25 +392,6 @@ impl Wal {
     pub fn truncate_sealed(&mut self) -> u64 {
         let bytes: u64 = self.sealed.iter().map(|s| s.data.len() as u64).sum();
         self.sealed.clear();
-        self.stats.truncated_bytes += bytes;
-        bytes
-    }
-
-    /// Drops sealed segments with index ≤ `through` — the background-flush
-    /// variant of [`Wal::truncate_sealed`]: with several flushes in flight
-    /// each one reclaims only the segments covering *its own* frozen
-    /// memstore, never a later flush's still-needed log. Returns the bytes
-    /// reclaimed.
-    pub fn truncate_sealed_through(&mut self, through: u64) -> u64 {
-        let mut bytes = 0u64;
-        self.sealed.retain(|s| {
-            if s.index <= through {
-                bytes += s.data.len() as u64;
-                false
-            } else {
-                true
-            }
-        });
         self.stats.truncated_bytes += bytes;
         bytes
     }
@@ -705,29 +683,6 @@ mod tests {
         let replay = wal.replay();
         assert_eq!(replay.records.len(), 1, "only the post-rotation edit remains");
         assert_eq!(replay.records[0].key, key("b", "q", 2));
-    }
-
-    #[test]
-    fn truncation_through_an_index_spares_later_segments() {
-        let mut wal = Wal::new(WalConfig::default());
-        wal.append(&key("a", "q", 1), Some(b"v1")).unwrap();
-        let first = wal.rotate().unwrap();
-        wal.append(&key("b", "q", 2), Some(b"v2")).unwrap();
-        let second = wal.rotate().unwrap();
-        assert!(second > first);
-        wal.append(&key("c", "q", 3), Some(b"v3")).unwrap();
-        assert_eq!(wal.sealed_segments(), 2);
-        // Reclaiming the first flush's segments must not touch the second's.
-        let reclaimed = wal.truncate_sealed_through(first);
-        assert!(reclaimed > 0);
-        assert_eq!(wal.sealed_segments(), 1);
-        let replay = wal.replay();
-        assert_eq!(replay.records.len(), 2, "second sealed segment + active survive");
-        assert_eq!(replay.records[0].key, key("b", "q", 2));
-        // Reclaiming through the second index empties the sealed list.
-        wal.truncate_sealed_through(second);
-        assert_eq!(wal.sealed_segments(), 0);
-        assert_eq!(wal.replay().records.len(), 1);
     }
 
     #[test]

@@ -64,31 +64,6 @@ pub struct EnvConfig {
     pub crash_ops: Option<usize>,
     /// `MET_CRASH_SEED` — `exp-crash` base seed for its schedules.
     pub crash_seed: Option<u64>,
-    /// `MET_CRASH_BG` — run `exp-crash`'s store audit with the background
-    /// maintenance pipeline enabled. Truthy values as for `MET_PROFILE`.
-    pub crash_bg: bool,
-    /// `MET_FLUSH_MEMSTORE_BYTES` — background-maintenance flush
-    /// threshold (heap bytes in the active memstore).
-    pub flush_memstore_bytes: Option<usize>,
-    /// `MET_FLUSH_MAX_FROZEN` — bounded frozen-memstore queue: writers
-    /// stall once this many memstores await a background flush.
-    pub flush_max_frozen: Option<usize>,
-    /// `MET_COMPACT_MIN_FILES` — file count that triggers a background
-    /// compaction.
-    pub compact_min_files: Option<usize>,
-    /// `MET_COMPACT_WORKERS` — background compactor pool size.
-    pub compact_workers: Option<usize>,
-    /// `MET_STORE_THROTTLE_FILES` — soft stall limit: writes are
-    /// throttled from this store-file count up.
-    pub store_throttle_files: Option<usize>,
-    /// `MET_STORE_BLOCKING_FILES` — hard stall limit: writers block while
-    /// this many store files exist (HBase's `blockingStoreFiles`).
-    pub store_blocking_files: Option<usize>,
-    /// `MET_PERF_ASSERT_WRITER_SPEEDUP` — minimum background-on /
-    /// background-off writer ops/s ratio on `store-put-heavy` below which
-    /// `exp-perf` exits non-zero. Armed on multi-core CI only (cf.
-    /// `MET_PERF_ASSERT_CLIENT_SPEEDUP`).
-    pub perf_assert_writer_speedup: Option<f64>,
 }
 
 /// Interprets a profiler-gate string: `1`, `true`, `on`, `yes`
@@ -128,18 +103,6 @@ impl EnvConfig {
             profile_minutes: get("MET_PROFILE_MINUTES").and_then(|s| s.trim().parse().ok()),
             crash_ops: get("MET_CRASH_OPS").and_then(|s| s.trim().parse().ok()),
             crash_seed: get("MET_CRASH_SEED").and_then(|s| s.trim().parse().ok()),
-            crash_bg: get("MET_CRASH_BG").as_deref().map(is_truthy).unwrap_or(false),
-            flush_memstore_bytes: get("MET_FLUSH_MEMSTORE_BYTES")
-                .and_then(|s| s.trim().parse().ok()),
-            flush_max_frozen: get("MET_FLUSH_MAX_FROZEN").and_then(|s| s.trim().parse().ok()),
-            compact_min_files: get("MET_COMPACT_MIN_FILES").and_then(|s| s.trim().parse().ok()),
-            compact_workers: get("MET_COMPACT_WORKERS").and_then(|s| s.trim().parse().ok()),
-            store_throttle_files: get("MET_STORE_THROTTLE_FILES")
-                .and_then(|s| s.trim().parse().ok()),
-            store_blocking_files: get("MET_STORE_BLOCKING_FILES")
-                .and_then(|s| s.trim().parse().ok()),
-            perf_assert_writer_speedup: get("MET_PERF_ASSERT_WRITER_SPEEDUP")
-                .and_then(|s| s.trim().parse().ok()),
         }
     }
 
@@ -181,14 +144,6 @@ mod tests {
         assert_eq!(c.profile_minutes, None);
         assert_eq!(c.crash_ops, None);
         assert_eq!(c.crash_seed, None);
-        assert!(!c.crash_bg, "crash audit runs inline maintenance by default");
-        assert_eq!(c.flush_memstore_bytes, None);
-        assert_eq!(c.flush_max_frozen, None);
-        assert_eq!(c.compact_min_files, None);
-        assert_eq!(c.compact_workers, None);
-        assert_eq!(c.store_throttle_files, None);
-        assert_eq!(c.store_blocking_files, None);
-        assert_eq!(c.perf_assert_writer_speedup, None);
     }
 
     #[test]
@@ -212,14 +167,6 @@ mod tests {
             ("MET_PROFILE_MINUTES", "6"),
             ("MET_CRASH_OPS", "200"),
             ("MET_CRASH_SEED", "9"),
-            ("MET_CRASH_BG", "1"),
-            ("MET_FLUSH_MEMSTORE_BYTES", "65536"),
-            ("MET_FLUSH_MAX_FROZEN", "3"),
-            ("MET_COMPACT_MIN_FILES", "5"),
-            ("MET_COMPACT_WORKERS", "2"),
-            ("MET_STORE_THROTTLE_FILES", "10"),
-            ("MET_STORE_BLOCKING_FILES", "20"),
-            ("MET_PERF_ASSERT_WRITER_SPEEDUP", "1.1"),
         ]));
         assert_eq!(c.threads, 4);
         assert_eq!(c.trace_path.as_deref(), Some(std::path::Path::new("/tmp/trail.jsonl")));
@@ -239,14 +186,6 @@ mod tests {
         assert_eq!(c.profile_minutes, Some(6));
         assert_eq!(c.crash_ops, Some(200));
         assert_eq!(c.crash_seed, Some(9));
-        assert!(c.crash_bg);
-        assert_eq!(c.flush_memstore_bytes, Some(65536));
-        assert_eq!(c.flush_max_frozen, Some(3));
-        assert_eq!(c.compact_min_files, Some(5));
-        assert_eq!(c.compact_workers, Some(2));
-        assert_eq!(c.store_throttle_files, Some(10));
-        assert_eq!(c.store_blocking_files, Some(20));
-        assert_eq!(c.perf_assert_writer_speedup, Some(1.1));
     }
 
     #[test]

@@ -278,49 +278,6 @@ pub enum TelemetryEvent {
         /// Simulated replay duration, milliseconds.
         duration_ms: u64,
     },
-    /// A frozen memstore was handed to the background flusher.
-    FlushQueued {
-        /// Server whose store froze the memstore.
-        server: u64,
-        /// Region the memstore belongs to.
-        region: u64,
-        /// Heap bytes frozen (the flush debt added).
-        bytes: u64,
-        /// Frozen memstores awaiting flush after this enqueue.
-        queue_depth: u64,
-    },
-    /// A background flush published its HFile.
-    FlushCompleted {
-        /// Server the flusher ran on.
-        server: u64,
-        /// Region flushed.
-        region: u64,
-        /// Bytes written to the published file.
-        bytes: u64,
-        /// Flush jobs still queued behind this one.
-        pending: u64,
-    },
-    /// A file run was handed to the background compactor pool.
-    CompactionQueued {
-        /// Server whose store enqueued the job.
-        server: u64,
-        /// Region the files belong to.
-        region: u64,
-        /// Store files in the claimed run.
-        files: u64,
-    },
-    /// A writer stalled on maintenance backpressure (frozen-queue bound or
-    /// the blocking-store-files wall).
-    WriterStalled {
-        /// Server whose writer stalled.
-        server: u64,
-        /// Region the stalled write targeted.
-        region: u64,
-        /// Stalled wall-clock accrued, milliseconds.
-        stall_ms: u64,
-        /// What the writer hit: `frozen_queue` or `blocking_files`.
-        reason: String,
-    },
     /// A checksum mismatch was detected on a stored block or WAL record.
     CorruptionDetected {
         /// Server that detected the damage.
@@ -363,10 +320,6 @@ pub enum EventKind {
     WalAppend,
     RecoveryStarted,
     RecoveryCompleted,
-    FlushQueued,
-    FlushCompleted,
-    CompactionQueued,
-    WriterStalled,
     CorruptionDetected,
 }
 
@@ -399,10 +352,6 @@ impl EventKind {
             EventKind::WalAppend => "wal_append",
             EventKind::RecoveryStarted => "recovery_started",
             EventKind::RecoveryCompleted => "recovery_completed",
-            EventKind::FlushQueued => "flush_queued",
-            EventKind::FlushCompleted => "flush_completed",
-            EventKind::CompactionQueued => "compaction_queued",
-            EventKind::WriterStalled => "writer_stalled",
             EventKind::CorruptionDetected => "corruption_detected",
         }
     }
@@ -437,10 +386,6 @@ impl TelemetryEvent {
             TelemetryEvent::WalAppend { .. } => EventKind::WalAppend,
             TelemetryEvent::RecoveryStarted { .. } => EventKind::RecoveryStarted,
             TelemetryEvent::RecoveryCompleted { .. } => EventKind::RecoveryCompleted,
-            TelemetryEvent::FlushQueued { .. } => EventKind::FlushQueued,
-            TelemetryEvent::FlushCompleted { .. } => EventKind::FlushCompleted,
-            TelemetryEvent::CompactionQueued { .. } => EventKind::CompactionQueued,
-            TelemetryEvent::WriterStalled { .. } => EventKind::WriterStalled,
             TelemetryEvent::CorruptionDetected { .. } => EventKind::CorruptionDetected,
         }
     }
@@ -453,10 +398,7 @@ impl TelemetryEvent {
             | EventKind::MemstoreFlush
             | EventKind::CompactionDone
             | EventKind::LocalitySample
-            | EventKind::WalAppend
-            | EventKind::FlushQueued
-            | EventKind::FlushCompleted
-            | EventKind::CompactionQueued => Level::Debug,
+            | EventKind::WalAppend => Level::Debug,
             _ => Level::Info,
         }
     }
@@ -591,19 +533,6 @@ impl Event {
             TelemetryEvent::RecoveryCompleted { server, region, wal_bytes, duration_ms } => json!({
                 "server": *server, "region": *region,
                 "wal_bytes": *wal_bytes, "duration_ms": *duration_ms,
-            }),
-            TelemetryEvent::FlushQueued { server, region, bytes, queue_depth } => json!({
-                "server": *server, "region": *region,
-                "bytes": *bytes, "queue_depth": *queue_depth,
-            }),
-            TelemetryEvent::FlushCompleted { server, region, bytes, pending } => json!({
-                "server": *server, "region": *region, "bytes": *bytes, "pending": *pending,
-            }),
-            TelemetryEvent::CompactionQueued { server, region, files } => {
-                json!({ "server": *server, "region": *region, "files": *files })
-            }
-            TelemetryEvent::WriterStalled { server, region, stall_ms, reason } => json!({
-                "server": *server, "region": *region, "stall_ms": *stall_ms, "reason": reason,
             }),
             TelemetryEvent::CorruptionDetected { server, file, offset, detail } => json!({
                 "server": *server, "file": *file, "offset": *offset, "detail": detail,
@@ -778,29 +707,6 @@ impl Event {
                 wal_bytes: u("wal_bytes")?,
                 duration_ms: u("duration_ms")?,
             },
-            "flush_queued" => TelemetryEvent::FlushQueued {
-                server: u("server")?,
-                region: u("region")?,
-                bytes: u("bytes")?,
-                queue_depth: u("queue_depth")?,
-            },
-            "flush_completed" => TelemetryEvent::FlushCompleted {
-                server: u("server")?,
-                region: u("region")?,
-                bytes: u("bytes")?,
-                pending: u("pending")?,
-            },
-            "compaction_queued" => TelemetryEvent::CompactionQueued {
-                server: u("server")?,
-                region: u("region")?,
-                files: u("files")?,
-            },
-            "writer_stalled" => TelemetryEvent::WriterStalled {
-                server: u("server")?,
-                region: u("region")?,
-                stall_ms: u("stall_ms")?,
-                reason: s("reason")?,
-            },
             "corruption_detected" => TelemetryEvent::CorruptionDetected {
                 server: u("server")?,
                 file: u("file")?,
@@ -934,15 +840,6 @@ mod tests {
                 offset: 4_096,
                 detail: "block checksum mismatch in file 42".to_string(),
             },
-            TelemetryEvent::FlushQueued { server: 2, region: 4, bytes: 4 << 20, queue_depth: 2 },
-            TelemetryEvent::FlushCompleted { server: 2, region: 4, bytes: 3 << 20, pending: 1 },
-            TelemetryEvent::CompactionQueued { server: 2, region: 4, files: 6 },
-            TelemetryEvent::WriterStalled {
-                server: 2,
-                region: 4,
-                stall_ms: 250,
-                reason: "blocking_files".to_string(),
-            },
         ]
     }
 
@@ -978,9 +875,6 @@ mod tests {
                     | EventKind::CompactionDone
                     | EventKind::LocalitySample
                     | EventKind::WalAppend
-                    | EventKind::FlushQueued
-                    | EventKind::FlushCompleted
-                    | EventKind::CompactionQueued
             );
             assert_eq!(e.level() == Level::Debug, expected, "{:?}", e.kind());
         }
