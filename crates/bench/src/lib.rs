@@ -9,7 +9,6 @@ pub mod elastic;
 pub mod fig1;
 pub mod fig4;
 pub mod latency;
-pub mod perf;
 pub mod profile;
 pub mod report;
 pub mod scenario;

@@ -67,6 +67,18 @@ struct FunctionalServer {
     regions: BTreeMap<RegionId, Region>,
 }
 
+impl FunctionalServer {
+    /// `region` rebuilt against this server's cache and configuration.
+    fn rehome(&self, region: Region, ids: &Arc<FileIdAllocator>) -> Region {
+        region.rehome(
+            self.cache.clone(),
+            ids.clone(),
+            self.config.block_size,
+            self.config.memstore_flush_bytes,
+        )
+    }
+}
+
 struct TableMeta {
     families: Vec<Family>,
     // Region start key (None = table start) → region id, sorted so the
@@ -214,21 +226,9 @@ impl FunctionalCluster {
         qualifier: Qualifier,
         value: Bytes,
     ) -> FResult<()> {
-        self.put_with_stats(table, family, row, qualifier, value).map(|_| ())
-    }
-
-    /// [`FunctionalCluster::put`] reporting the op's work for service-time
-    /// costing (a put is a memstore insert).
-    pub fn put_with_stats(
-        &mut self,
-        table: &str,
-        family: &Family,
-        row: RowKey,
-        qualifier: Qualifier,
-        value: Bytes,
-    ) -> FResult<OpStats> {
         let (rid, sid) = self.locate(table, &row)?;
-        Ok(self.region_mut(rid, sid).put_with_stats(family, row, qualifier, value)?)
+        self.region_mut(rid, sid).put(family, row, qualifier, value)?;
+        Ok(())
     }
 
     /// Reads a cell.
@@ -256,7 +256,7 @@ impl FunctionalCluster {
         qualifier: &Qualifier,
     ) -> FResult<(Option<Bytes>, OpStats)> {
         let (rid, sid) = self.locate(table, row)?;
-        Ok(self.region_ref(rid, sid).get_with_stats(family, row, qualifier)?)
+        Ok(self.region_ref(rid, sid).get(family, row, qualifier)?)
     }
 
     /// Atomic compare-and-put on a cell.
@@ -270,10 +270,7 @@ impl FunctionalCluster {
         new: Bytes,
     ) -> FResult<bool> {
         let (rid, sid) = self.locate(table, &row)?;
-        Ok(self
-            .region_mut(rid, sid)
-            .check_and_put_with_stats(family, row, qualifier, expected, new)?
-            .0)
+        Ok(self.region_mut(rid, sid).check_and_put(family, row, qualifier, expected, new)?.0)
     }
 
     /// Atomic numeric increment of a cell.
@@ -285,21 +282,8 @@ impl FunctionalCluster {
         qualifier: Qualifier,
         delta: i64,
     ) -> FResult<i64> {
-        self.increment_with_stats(table, family, row, qualifier, delta).map(|(v, _)| v)
-    }
-
-    /// [`FunctionalCluster::increment`] reporting the read-modify-write's
-    /// work (see [`FunctionalCluster::get_with_stats`]).
-    pub fn increment_with_stats(
-        &mut self,
-        table: &str,
-        family: &Family,
-        row: RowKey,
-        qualifier: Qualifier,
-        delta: i64,
-    ) -> FResult<(i64, OpStats)> {
         let (rid, sid) = self.locate(table, &row)?;
-        Ok(self.region_mut(rid, sid).increment_with_stats(family, row, qualifier, delta)?)
+        Ok(self.region_mut(rid, sid).increment(family, row, qualifier, delta)?.0)
     }
 
     /// Deletes a cell.
@@ -350,7 +334,7 @@ impl FunctionalCluster {
             // otherwise underflow this in the next iteration (debug builds
             // panic on unsigned wrap).
             let (rows, region_stats) =
-                region.scan_with_stats(family, &cursor, row_limit.saturating_sub(out.len()))?;
+                region.scan(family, &cursor, row_limit.saturating_sub(out.len()))?;
             out.extend(rows);
             stats.absorb(region_stats);
             if out.len() >= row_limit {
@@ -442,9 +426,11 @@ impl FunctionalCluster {
         Ok((lo_id, hi_id))
     }
 
-    /// Moves a region to another server. The region's data is re-homed by
-    /// exporting and rebuilding (the simulation layer models the locality
-    /// cost; here we preserve functional correctness).
+    /// Moves a region to another server. The region's data is re-homed
+    /// onto the destination's cache and storage parameters (see
+    /// [`Region::rehome`]); its request counters move with it. The
+    /// simulation layer models the locality cost; here we preserve
+    /// functional correctness.
     pub fn move_region(&mut self, rid: RegionId, to: ServerId) -> FResult<()> {
         let from = *self
             .assignment
@@ -456,19 +442,15 @@ impl FunctionalCluster {
         if !self.servers.contains_key(&to) {
             return Err(AdminError::UnknownServer(to).into());
         }
-        let mut region = self
+        let region = self
             .servers
             .get_mut(&from)
             .expect("assignment broken")
             .regions
             .remove(&rid)
             .expect("assignment broken");
-        // Close: flush so all data is in immutable files.
-        region.flush_all();
         let dst = self.servers.get_mut(&to).expect("just checked");
-        // Rebuild the region against the destination's cache/config.
-        let rebuilt = rebuild_region(region, dst, self.ids.clone());
-        dst.regions.insert(rid, rebuilt);
+        dst.regions.insert(rid, dst.rehome(region, &self.ids));
         self.assignment.insert(rid, to);
         Ok(())
     }
@@ -521,8 +503,7 @@ impl FunctionalCluster {
             let region =
                 self.servers.get_mut(&sid).expect("checked").regions.remove(&rid).expect("listed");
             let dst = self.servers.get_mut(&sid).expect("checked");
-            let rebuilt = rebuild_region(region, dst, self.ids.clone());
-            dst.regions.insert(rid, rebuilt);
+            dst.regions.insert(rid, dst.rehome(region, &self.ids));
         }
         Ok(())
     }
@@ -599,42 +580,6 @@ impl FunctionalCluster {
     }
 }
 
-fn rebuild_region(region: Region, dst: &mut FunctionalServer, ids: Arc<FileIdAllocator>) -> Region {
-    // Export everything and rebuild with the destination's parameters.
-    let id = region.id();
-    let table = region.table().to_string();
-    let range = region.range().clone();
-    let families = region.family_names();
-    let counters = region.counters();
-    let mut rebuilt = Region::new(
-        id,
-        table,
-        range,
-        &families,
-        dst.cache.clone(),
-        ids,
-        dst.config.block_size,
-        dst.config.memstore_flush_bytes,
-    );
-    for fam in &families {
-        // Re-import the newest versions from a stable snapshot of the
-        // source region's store. (Older shadowed versions are dropped —
-        // equivalent to a compaction on move, which keeps the rebuild
-        // simple and correct.)
-        let snapshot = region.family_snapshot(fam).expect("family exists");
-        for (row, cells) in snapshot.scan_range(region.range(), usize::MAX) {
-            for (q, v) in cells {
-                rebuilt.put(fam, row.clone(), q, v).expect("row inside range");
-            }
-        }
-    }
-    rebuilt.flush_all();
-    // Preserve the access-pattern counters across the move: classification
-    // state must survive (the monitor diffs cumulative values).
-    let _ = counters; // counters restart at zero; monitor handles resets
-    rebuilt
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,18 +647,52 @@ mod tests {
         for i in 0..20 {
             c.put("t", &"cf".into(), format!("r{i:02}").into(), "q".into(), b("v")).unwrap();
         }
+        // One row deleted and one overwritten, both after a flush, so the
+        // tombstone and the newer version sit above older file data.
         let rid = c.table_regions("t")[0];
+        c.major_compact_region(rid).unwrap();
+        c.delete("t", &"cf".into(), "r03".into(), "q".into()).unwrap();
+        c.put("t", &"cf".into(), "r07".into(), "q".into(), b("v2")).unwrap();
         let from = c.region_server(rid).unwrap();
         let to = c.server_ids().into_iter().find(|s| *s != from).unwrap();
         c.move_region(rid, to).unwrap();
         assert_eq!(c.region_server(rid), Some(to));
+        let expected = |i: usize| match i {
+            3 => None,
+            7 => Some(b("v2")),
+            _ => Some(b("v")),
+        };
         for i in 0..20 {
             assert_eq!(
                 c.get("t", &"cf".into(), &format!("r{i:02}").as_str().into(), &"q".into()).unwrap(),
-                Some(b("v")),
-                "row r{i:02} lost in move"
+                expected(i),
+                "row r{i:02} wrong after move"
             );
         }
+        let rows = c.scan("t", &"cf".into(), &"r00".into(), 100).unwrap();
+        assert_eq!(rows.len(), 19, "the deleted row stays deleted in scans");
+    }
+
+    #[test]
+    fn move_region_keeps_request_counters() {
+        let mut c = cluster_with(2);
+        c.create_table("t", &[Family::from("cf")], &[]).unwrap();
+        for i in 0..10 {
+            c.put("t", &"cf".into(), format!("r{i:02}").into(), "q".into(), b("v")).unwrap();
+        }
+        c.get("t", &"cf".into(), &"r01".into(), &"q".into()).unwrap();
+        c.scan("t", &"cf".into(), &"r02".into(), 3).unwrap();
+        let rid = c.table_regions("t")[0];
+        let before = c.region_counters(rid).unwrap();
+        assert_eq!((before.writes, before.reads, before.scans, before.scan_rows), (10, 1, 1, 3));
+        let from = c.region_server(rid).unwrap();
+        let to = c.server_ids().into_iter().find(|s| *s != from).unwrap();
+        c.move_region(rid, to).unwrap();
+        assert_eq!(c.region_counters(rid).unwrap(), before, "a move must not reset the counters");
+        // Back again, through a reconfiguration restart too.
+        c.move_region(rid, from).unwrap();
+        c.reconfigure_server(from, StoreConfig::small_for_tests()).unwrap();
+        assert_eq!(c.region_counters(rid).unwrap(), before);
     }
 
     #[test]

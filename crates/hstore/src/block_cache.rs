@@ -10,7 +10,6 @@
 
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifies an immutable store file.
@@ -218,27 +217,19 @@ impl BlockCache {
     /// Records an access to `block` of `size` bytes, admitting it on a miss
     /// and evicting LRU blocks as needed.
     pub fn touch(&mut self, block: BlockId, size: u64) -> Access {
-        self.touch_counted(block, size).0
-    }
-
-    /// [`BlockCache::touch`] also reporting how many blocks were evicted to
-    /// admit this one, so a sharded front-end can maintain lock-free global
-    /// counters without re-reading per-shard stats.
-    pub fn touch_counted(&mut self, block: BlockId, size: u64) -> (Access, u64) {
         if let Some(&idx) = self.resident.get(&block) {
             if idx != self.head {
                 self.unlink(idx);
                 self.push_front(idx);
             }
             self.stats.hits += 1;
-            return (Access::Hit, 0);
+            return Access::Hit;
         }
         self.stats.misses += 1;
         // Blocks larger than the whole cache are read but never admitted.
         if size > self.capacity_bytes {
-            return (Access::Miss, 0);
+            return Access::Miss;
         }
-        let mut evicted = 0u64;
         while self.used_bytes + size > self.capacity_bytes {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "cache accounting corrupt");
@@ -250,14 +241,13 @@ impl BlockCache {
             debug_assert!(self.used_bytes >= vsz, "cache byte accounting corrupt");
             self.used_bytes = self.used_bytes.saturating_sub(vsz);
             self.stats.evictions += 1;
-            evicted += 1;
         }
         let idx = self.alloc(LruNode { block, size, prev: NIL, next: NIL });
         self.push_front(idx);
         self.resident.insert(block, idx);
         self.per_file.entry(block.file).or_default().insert(block.index);
         self.used_bytes += size;
-        (Access::Miss, evicted)
+        Access::Miss
     }
 
     /// Removes `block` from the per-file index, dropping the file's entry
@@ -326,143 +316,47 @@ impl BlockCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Resets the statistics (kept orthogonal to residency).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-}
-
-#[derive(Debug)]
-struct CacheInner {
-    /// Power-of-two shard array; a block's shard is a hash of its id.
-    shards: Vec<Mutex<BlockCache>>,
-    /// Global counters maintained outside the shard locks so `stats()`
-    /// never has to stop concurrent readers mid-touch.
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    capacity_bytes: u64,
 }
 
 /// A cache handle shared by every store on one RegionServer.
 ///
-/// Concurrency model: the intrusive-LRU slab is partitioned into
-/// power-of-two shards, each behind its own mutex, with a block's shard
-/// chosen by a hash of its `(file, block)` id; hit/miss/eviction counters
-/// are process-global atomics updated outside the shard locks. The default
-/// [`SharedBlockCache::new`] uses **one** shard, which is byte-identical to
-/// the previous single-mutex cache (same eviction order, same stats), so
-/// every deterministic trace is unchanged. Multi-shard caches
-/// ([`SharedBlockCache::new_sharded`]) split the byte budget evenly across
-/// shards and approximate global LRU with per-shard LRU — the standard
-/// concurrency/recency trade (HBase's `LruBlockCache` does the same via
-/// segmented locking); they exist for genuinely concurrent readers, not
-/// for the deterministic simulation paths.
+/// Concurrency model: one [`BlockCache`] behind one mutex. Every access,
+/// hit or miss, takes the lock, so eviction order is exact global LRU and
+/// the statistics are the cache's own, read under the same lock. Readers
+/// on different threads serialize only for the O(1) list update of a
+/// touch; the block payload itself is read outside the lock.
 #[derive(Debug, Clone)]
-pub struct SharedBlockCache(Arc<CacheInner>);
+pub struct SharedBlockCache(Arc<Mutex<BlockCache>>);
 
 impl SharedBlockCache {
-    /// Creates a shared cache with the given capacity and a single shard —
-    /// exact global LRU, byte-identical to the pre-sharding cache.
+    /// Creates a shared cache with the given capacity.
     pub fn new(capacity_bytes: u64) -> Self {
-        Self::new_sharded(capacity_bytes, 1)
-    }
-
-    /// Creates a shared cache whose byte budget is split across `shards`
-    /// independently locked LRU shards (rounded up to a power of two).
-    /// Eviction decisions become per-shard, so only use this where
-    /// concurrent throughput matters more than exact LRU order.
-    pub fn new_sharded(capacity_bytes: u64, shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let per = capacity_bytes / n as u64;
-        let rem = capacity_bytes % n as u64;
-        let shards = (0..n)
-            .map(|i| Mutex::new(BlockCache::new(per + if i == 0 { rem } else { 0 })))
-            .collect();
-        SharedBlockCache(Arc::new(CacheInner {
-            shards,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            capacity_bytes,
-        }))
-    }
-
-    /// Number of shards (1 for the deterministic default).
-    pub fn shard_count(&self) -> usize {
-        self.0.shards.len()
-    }
-
-    fn shard(&self, block: &BlockId) -> &Mutex<BlockCache> {
-        // Fibonacci-mix the block id; the high bits index the shard array.
-        let h = block
-            .file
-            .0
-            .wrapping_add((block.index as u64) << 32)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mask = self.0.shards.len() - 1;
-        &self.0.shards[(h >> 48) as usize & mask]
+        SharedBlockCache(Arc::new(Mutex::new(BlockCache::new(capacity_bytes))))
     }
 
     /// Records an access (see [`BlockCache::touch`]).
     pub fn touch(&self, block: BlockId, size: u64) -> Access {
-        let (access, evicted) = self.shard(&block).lock().touch_counted(block, size);
-        match access {
-            Access::Hit => self.0.hits.fetch_add(1, Ordering::Relaxed),
-            Access::Miss => self.0.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        if evicted > 0 {
-            self.0.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        access
+        self.0.lock().touch(block, size)
     }
 
-    /// Drops blocks of a deleted file (its blocks may sit in any shard).
+    /// Drops blocks of a deleted file.
     pub fn invalidate_file(&self, file: FileId) {
-        for shard in &self.0.shards {
-            shard.lock().invalidate_file(file);
-        }
+        self.0.lock().invalidate_file(file);
     }
 
-    /// Clears all residency (restart).
-    pub fn clear(&self) {
-        for shard in &self.0.shards {
-            shard.lock().clear();
-        }
-        self.0.hits.store(0, Ordering::Relaxed);
-        self.0.misses.store(0, Ordering::Relaxed);
-        self.0.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Cumulative statistics snapshot — a lock-free read of the global
-    /// atomic counters.
+    /// Cumulative statistics snapshot.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.0.hits.load(Ordering::Relaxed),
-            misses: self.0.misses.load(Ordering::Relaxed),
-            evictions: self.0.evictions.load(Ordering::Relaxed),
-        }
+        self.0.lock().stats()
     }
 
-    /// Resets statistics (global counters and every shard's local view).
-    pub fn reset_stats(&self) {
-        for shard in &self.0.shards {
-            shard.lock().reset_stats();
-        }
-        self.0.hits.store(0, Ordering::Relaxed);
-        self.0.misses.store(0, Ordering::Relaxed);
-        self.0.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Bytes currently cached across all shards.
+    /// Bytes currently cached.
     pub fn used_bytes(&self) -> u64 {
-        self.0.shards.iter().map(|s| s.lock().used_bytes()).sum()
+        self.0.lock().used_bytes()
     }
 
-    /// Configured total capacity.
+    /// Configured capacity.
     pub fn capacity_bytes(&self) -> u64 {
-        self.0.capacity_bytes
+        self.0.lock().capacity_bytes()
     }
 
     /// Publishes the current statistics (see [`CacheStats::publish`]).

@@ -10,6 +10,7 @@
 use crate::block_cache::{Access, AccessCounter, BlockId, FileId, SharedBlockCache};
 use crate::bloom::BloomFilter;
 use crate::error::{CorruptionKind, HStoreError};
+use crate::store::OpStats;
 use crate::types::{CellVersion, InternalKey, KeyRange, Qualifier, RowKey, Timestamp};
 use crate::wal::Crc32;
 use bytes::Bytes;
@@ -216,10 +217,12 @@ impl HFile {
 
     /// Point lookup of the newest version at `(row, qualifier)`.
     ///
-    /// Returns `(result, bloom_rejected, cache_access)` where `result` is
+    /// Returns `(result, bloom_rejected, blocks)` where `result` is
     /// `Some(None)` for a tombstone, `Some(Some(v))` for a live value, and
-    /// `None` when the file holds no version for the coordinate. When the
-    /// Bloom filter rejects the row no block is touched at all.
+    /// `None` when the file holds no version for the coordinate, and
+    /// `blocks` counts every block the lookup touched (one, or two when
+    /// the probe runs off the end of a block). When the Bloom filter
+    /// rejects the row no block is touched at all.
     ///
     /// A cache miss models a disk read, and disk reads verify the block
     /// checksum (as HBase does): damage surfaces as
@@ -233,9 +236,10 @@ impl HFile {
         row: &RowKey,
         qualifier: &Qualifier,
         cache: &SharedBlockCache,
-    ) -> crate::error::Result<(Option<Option<Bytes>>, bool, Option<Access>)> {
+    ) -> crate::error::Result<(Option<Option<Bytes>>, bool, OpStats)> {
+        let mut blocks = OpStats::default();
         if !self.bloom.may_contain(row.as_bytes()) {
-            return Ok((None, true, None));
+            return Ok((None, true, blocks));
         }
         // Newest version of the coordinate has the smallest InternalKey.
         let probe = InternalKey::new(row.clone(), qualifier.clone(), Timestamp(u64::MAX));
@@ -250,6 +254,10 @@ impl HFile {
                 break;
             }
             let access = cache.touch(BlockId { file: self.id, index: idx as u32 }, block.byte_size);
+            match access {
+                Access::Hit => blocks.cache_hits += 1,
+                Access::Miss => blocks.blocks_read += 1,
+            }
             if access == Access::Miss && !block.verify() {
                 cache.invalidate_file(self.id);
                 return Err(HStoreError::Corruption {
@@ -261,16 +269,16 @@ impl HFile {
             let pos = block.cells.partition_point(|c| c.key < probe);
             if let Some(cell) = block.cells.get(pos) {
                 if cell.key.coord.row == *row && cell.key.coord.qualifier == *qualifier {
-                    return Ok((Some(cell.value.clone()), false, Some(access)));
+                    return Ok((Some(cell.value.clone()), false, blocks));
                 }
             }
             // Probe not in this block; only continue if versions could start
             // at the next block boundary.
             if pos < block.cells.len() {
-                return Ok((None, false, Some(access)));
+                return Ok((None, false, blocks));
             }
         }
-        Ok((None, false, None))
+        Ok((None, false, blocks))
     }
 
     /// An iterator over cells whose row lies within `range`, touching the
@@ -391,9 +399,9 @@ mod tests {
             1 << 16,
         );
         let c = cache();
-        let (got, rejected, access) = f.get(&"r1".into(), &"c".into(), &c).unwrap();
+        let (got, rejected, blocks) = f.get(&"r1".into(), &"c".into(), &c).unwrap();
         assert!(!rejected);
-        assert_eq!(access, Some(Access::Miss));
+        assert_eq!((blocks.cache_hits, blocks.blocks_read), (0, 1));
         assert_eq!(got.unwrap().unwrap(), Bytes::from_static(b"new"));
     }
 
@@ -434,8 +442,8 @@ mod tests {
         let f = build_file(cells, 1 << 16);
         let c = cache();
         f.get(&"row10".into(), &"c".into(), &c).unwrap();
-        let (_, _, access) = f.get(&"row11".into(), &"c".into(), &c).unwrap();
-        assert_eq!(access, Some(Access::Hit), "same block should be resident");
+        let (_, _, blocks) = f.get(&"row11".into(), &"c".into(), &c).unwrap();
+        assert_eq!((blocks.cache_hits, blocks.blocks_read), (1, 0), "same block is resident");
     }
 
     #[test]

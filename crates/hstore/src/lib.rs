@@ -50,7 +50,7 @@ pub use error::{CorruptionKind, HStoreError, Result, StoreError};
 pub use region::{Region, RegionCounters, RegionId};
 pub use store::{
     CfStore, CompactionOutcome, DurableState, FileIdAllocator, FlushOutcome, OpStats,
-    RecoveryReport, StoreReader, StoreSnapshot, WAL_FILE_ID_BASE,
+    RecoveryReport, StoreReader, WAL_FILE_ID_BASE,
 };
 pub use types::{Family, KeyRange, Qualifier, RowKey, Timestamp};
 pub use wal::{ReplayStop, Wal, WalConfig, WalRecord, WalReplay, WalStats};

@@ -7,9 +7,7 @@
 
 use crate::block_cache::SharedBlockCache;
 use crate::error::{Result, StoreError};
-use crate::store::{
-    CfStore, CompactionOutcome, FileIdAllocator, FlushOutcome, OpStats, StoreSnapshot,
-};
+use crate::store::{CfStore, CompactionOutcome, FileIdAllocator, FlushOutcome, OpStats};
 use crate::types::{Family, KeyRange, Qualifier, RowKey};
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -145,11 +143,6 @@ impl Region {
         &self.range
     }
 
-    /// Declared column families.
-    pub fn family_names(&self) -> Vec<Family> {
-        self.families.keys().cloned().collect()
-    }
-
     fn check_row(&self, row: &RowKey) -> Result<()> {
         if self.range.contains(row) {
             Ok(())
@@ -166,19 +159,8 @@ impl Region {
         self.families.get(family).ok_or_else(|| StoreError::UnknownFamily(family.clone()))
     }
 
-    /// Writes a cell.
+    /// Writes a cell, reporting the op's work (a memstore insert).
     pub fn put(
-        &mut self,
-        family: &Family,
-        row: RowKey,
-        qualifier: Qualifier,
-        value: Bytes,
-    ) -> Result<()> {
-        self.put_with_stats(family, row, qualifier, value).map(|_| ())
-    }
-
-    /// [`Region::put`] reporting the op's work (a memstore insert).
-    pub fn put_with_stats(
         &mut self,
         family: &Family,
         row: RowKey,
@@ -191,13 +173,9 @@ impl Region {
         Ok(stats)
     }
 
-    /// Deletes a cell (tombstone).
-    pub fn delete(&mut self, family: &Family, row: RowKey, qualifier: Qualifier) -> Result<()> {
-        self.delete_with_stats(family, row, qualifier).map(|_| ())
-    }
-
-    /// [`Region::delete`] reporting the op's work (a memstore insert).
-    pub fn delete_with_stats(
+    /// Deletes a cell (tombstone), reporting the op's work (a memstore
+    /// insert).
+    pub fn delete(
         &mut self,
         family: &Family,
         row: RowKey,
@@ -210,20 +188,9 @@ impl Region {
     }
 
     /// Atomic compare-and-put on a cell (see
-    /// [`CfStore::check_and_put`]).
+    /// [`CfStore::try_check_and_put`]), reporting whether the write
+    /// happened and the read-modify-write's work.
     pub fn check_and_put(
-        &mut self,
-        family: &Family,
-        row: RowKey,
-        qualifier: Qualifier,
-        expected: Option<&Bytes>,
-        new: Bytes,
-    ) -> Result<bool> {
-        self.check_and_put_with_stats(family, row, qualifier, expected, new).map(|(done, _)| done)
-    }
-
-    /// [`Region::check_and_put`] reporting the read-modify-write's work.
-    pub fn check_and_put_with_stats(
         &mut self,
         family: &Family,
         row: RowKey,
@@ -241,19 +208,9 @@ impl Region {
         Ok((done, stats))
     }
 
-    /// Atomic numeric increment of a cell (see [`CfStore::increment`]).
+    /// Atomic numeric increment of a cell (see [`CfStore::try_increment`]),
+    /// reporting the new value and the read-modify-write's work.
     pub fn increment(
-        &mut self,
-        family: &Family,
-        row: RowKey,
-        qualifier: Qualifier,
-        delta: i64,
-    ) -> Result<i64> {
-        self.increment_with_stats(family, row, qualifier, delta).map(|(v, _)| v)
-    }
-
-    /// [`Region::increment`] reporting the read-modify-write's work.
-    pub fn increment_with_stats(
         &mut self,
         family: &Family,
         row: RowKey,
@@ -267,18 +224,9 @@ impl Region {
         Ok((v, stats))
     }
 
-    /// Reads the newest live value of a cell.
+    /// Reads the newest live value of a cell, reporting which blocks the
+    /// read touched.
     pub fn get(
-        &self,
-        family: &Family,
-        row: &RowKey,
-        qualifier: &Qualifier,
-    ) -> Result<Option<Bytes>> {
-        self.get_with_stats(family, row, qualifier).map(|(v, _)| v)
-    }
-
-    /// [`Region::get`] reporting which blocks the read touched.
-    pub fn get_with_stats(
         &self,
         family: &Family,
         row: &RowKey,
@@ -291,18 +239,8 @@ impl Region {
     }
 
     /// Scans up to `row_limit` live rows from `start`, clamped to this
-    /// region's range.
+    /// region's range, reporting the blocks this scan entered.
     pub fn scan(
-        &self,
-        family: &Family,
-        start: &RowKey,
-        row_limit: usize,
-    ) -> Result<Vec<crate::types::RowCells>> {
-        self.scan_with_stats(family, start, row_limit).map(|(rows, _)| rows)
-    }
-
-    /// [`Region::scan`] reporting the blocks this scan entered.
-    pub fn scan_with_stats(
         &self,
         family: &Family,
         start: &RowKey,
@@ -314,13 +252,6 @@ impl Region {
         self.counters.scans.fetch_add(1, Ordering::Relaxed);
         self.counters.scan_rows.fetch_add(rows.len() as u64, Ordering::Relaxed);
         Ok((rows, stats))
-    }
-
-    /// A stable point-in-time view of one family (see [`StoreSnapshot`]).
-    /// Region moves and rebuilds iterate this instead of borrowing the
-    /// live store.
-    pub fn family_snapshot(&self, family: &Family) -> Result<StoreSnapshot> {
-        Ok(self.family_ref(family)?.snapshot())
     }
 
     /// Flushes any family whose memstore exceeds the per-region flush
@@ -404,17 +335,6 @@ impl Region {
         self.counters.snapshot()
     }
 
-    /// Exports every cell version of one family within `range`, in key
-    /// order (newest version of each coordinate first). Used by splits and
-    /// region moves.
-    pub fn export_family_range(
-        &self,
-        family: &Family,
-        range: &KeyRange,
-    ) -> Vec<crate::types::CellVersion> {
-        self.families.get(family).map(|s| s.export_range(range)).unwrap_or_default()
-    }
-
     /// A suitable split row near the byte-midpoint, if the region has enough
     /// data to split.
     pub fn split_point(&self) -> Option<RowKey> {
@@ -451,17 +371,8 @@ impl Region {
         let mut lo_families = BTreeMap::new();
         let mut hi_families = BTreeMap::new();
         for (fam, store) in &self.families {
-            let next_ts = store.next_ts();
-            let lo_cells = store.export_range(&lo_range);
-            let hi_cells = store.export_range(&hi_range);
-            lo_families.insert(
-                fam.clone(),
-                CfStore::from_cells(cache.clone(), ids.clone(), block_size, lo_cells, next_ts),
-            );
-            hi_families.insert(
-                fam.clone(),
-                CfStore::from_cells(cache.clone(), ids.clone(), block_size, hi_cells, next_ts),
-            );
+            lo_families.insert(fam.clone(), rebuild(store, &lo_range, &cache, &ids, block_size));
+            hi_families.insert(fam.clone(), rebuild(store, &hi_range, &cache, &ids, block_size));
         }
         let flush = self.memstore_flush_bytes;
         // Parent counters are attributed half-and-half so classification
@@ -494,6 +405,48 @@ impl Region {
         };
         Ok((lo, hi))
     }
+
+    /// Re-homes the region onto another server's cache and storage
+    /// parameters (a region move, or a RegionServer restart with a new
+    /// configuration). Each family is rebuilt the way [`Region::split`]
+    /// builds a daughter: every cell version, tombstones included, lands in
+    /// one file with the source store's timestamp clock. The request
+    /// counters and telemetry carry over unchanged, so the monitor's
+    /// cumulative per-region signals survive the move.
+    pub fn rehome(
+        self,
+        cache: SharedBlockCache,
+        ids: Arc<FileIdAllocator>,
+        block_size: u64,
+        memstore_flush_bytes: u64,
+    ) -> Region {
+        let families = self
+            .families
+            .iter()
+            .map(|(fam, store)| {
+                (fam.clone(), rebuild(store, &self.range, &cache, &ids, block_size))
+            })
+            .collect();
+        Region { families, memstore_flush_bytes, ..self }
+    }
+}
+
+/// A new store holding every cell version of `store` within `range` as a
+/// single file, continuing `store`'s timestamp clock.
+fn rebuild(
+    store: &CfStore,
+    range: &KeyRange,
+    cache: &SharedBlockCache,
+    ids: &Arc<FileIdAllocator>,
+    block_size: u64,
+) -> CfStore {
+    CfStore::from_cells(
+        cache.clone(),
+        ids.clone(),
+        block_size,
+        store.export_range(range),
+        store.next_ts(),
+    )
 }
 
 #[cfg(test)]
@@ -567,7 +520,7 @@ mod tests {
         for i in 0..5 {
             r.put(&"cf".into(), format!("row{i:02}").into(), "c".into(), b("v")).unwrap();
         }
-        let rows = r.scan(&"cf".into(), &"row00".into(), 100).unwrap();
+        let (rows, _) = r.scan(&"cf".into(), &"row00".into(), 100).unwrap();
         assert_eq!(rows.len(), 5);
     }
 
@@ -584,11 +537,11 @@ mod tests {
         assert_eq!(lo.range().end.clone().unwrap(), "row20".into());
         assert_eq!(hi.range().start.clone().unwrap(), "row20".into());
         assert_eq!(
-            lo.get(&"cf".into(), &"row10".into(), &"c".into()).unwrap(),
+            lo.get(&"cf".into(), &"row10".into(), &"c".into()).unwrap().0,
             Some(b("0123456789"))
         );
         assert_eq!(
-            hi.get(&"cf".into(), &"row30".into(), &"c".into()).unwrap(),
+            hi.get(&"cf".into(), &"row30".into(), &"c".into()).unwrap().0,
             Some(b("0123456789"))
         );
         assert!(lo.get(&"cf".into(), &"row30".into(), &"c".into()).is_err());

@@ -251,12 +251,8 @@ impl StoreShared {
             }
         }
         for file in view.files.iter().rev() {
-            let (result, bloom_rejected, access) = file.get(row, qualifier, &self.cache)?;
-            match access {
-                Some(crate::Access::Hit) => stats.cache_hits += 1,
-                Some(crate::Access::Miss) => stats.blocks_read += 1,
-                None => {}
-            }
+            let (result, bloom_rejected, blocks) = file.get(row, qualifier, &self.cache)?;
+            stats.absorb(blocks);
             if bloom_rejected {
                 self.bloom_skips.fetch_add(1, Ordering::Relaxed);
                 continue;
@@ -311,17 +307,6 @@ impl StoreShared {
             None,
         );
         tree.map(|(k, v)| CellVersion { key: k.clone(), value: v.clone() }).collect()
-    }
-
-    /// A stable [`StoreSnapshot`]: clones the active memstore (O(its size);
-    /// values are `Bytes` refcount bumps) and shares the frozen/file `Arc`s.
-    fn snapshot(&self) -> StoreSnapshot {
-        let active = self.active.read();
-        let view = self.view.read().clone();
-        let mut mems = Vec::with_capacity(1 + view.frozen.len());
-        mems.push(Arc::new(active.clone()));
-        mems.extend(view.frozen.iter().cloned());
-        StoreSnapshot { mems, files: view.files.clone(), cache: self.cache.clone() }
     }
 
     /// Freezes the active memstore into the view's frozen list (front =
@@ -431,12 +416,6 @@ impl CfStore {
         StoreReader { shared: self.shared.clone() }
     }
 
-    /// A stable point-in-time view (see [`StoreSnapshot`]). Costs a clone
-    /// of the active memstore, so prefer [`CfStore::reader`] for hot reads.
-    pub fn snapshot(&self) -> StoreSnapshot {
-        self.shared.snapshot()
-    }
-
     /// Attaches a write-ahead log. From here on every put/delete is
     /// appended (and, per the group-commit policy, synced) before the
     /// memstore sees it, so [`CfStore::crash`] + [`CfStore::recover`]
@@ -488,20 +467,8 @@ impl CfStore {
         Ok((ts, OpStats::memstore_only()))
     }
 
-    /// Deletes a cell by writing a tombstone; returns the tombstone's
-    /// timestamp.
-    ///
-    /// # Panics
-    ///
-    /// Like [`CfStore::put`], panics if an armed disk fault fails the WAL
-    /// append; fault-injecting callers use [`CfStore::try_delete`].
-    #[inline]
-    pub fn delete(&mut self, row: RowKey, qualifier: Qualifier) -> Timestamp {
-        self.try_delete(row, qualifier).expect("WAL append failed").0
-    }
-
-    /// The canonical delete: writes a tombstone WAL-first (see
-    /// [`CfStore::try_put`]).
+    /// Deletes a cell by writing a tombstone WAL-first (see
+    /// [`CfStore::try_put`]); reports the tombstone's timestamp.
     pub fn try_delete(
         &mut self,
         row: RowKey,
@@ -518,23 +485,12 @@ impl CfStore {
     }
 
     /// Atomically compares the current value and writes `new` if it
-    /// matches `expected` (`None` = expects absence). Returns whether the
-    /// write happened — HBase's `checkAndPut`, the primitive behind its
-    /// "write operations are atomic" guarantee (§2.1).
-    #[inline]
-    pub fn check_and_put(
-        &mut self,
-        row: RowKey,
-        qualifier: Qualifier,
-        expected: Option<&Bytes>,
-        new: Bytes,
-    ) -> Result<bool> {
-        self.try_check_and_put(row, qualifier, expected, new).map(|(done, _)| done)
-    }
-
-    /// The canonical compare-and-set, reporting the read-modify-write's
-    /// work. Atomicity comes from the single-writer rule: this takes
-    /// `&mut self`, so no other write can interleave with the read.
+    /// matches `expected` (`None` = expects absence), reporting whether the
+    /// write happened and the read-modify-write's work — HBase's
+    /// `checkAndPut`, the primitive behind its "write operations are
+    /// atomic" guarantee (§2.1). Atomicity comes from the single-writer
+    /// rule: this takes `&mut self`, so no other write can interleave with
+    /// the read.
     pub fn try_check_and_put(
         &mut self,
         row: RowKey,
@@ -552,17 +508,11 @@ impl CfStore {
     }
 
     /// Atomically adds `delta` to a cell holding a decimal integer
-    /// (absent cells count as 0) and returns the new value — HBase's
-    /// `incrementColumnValue`. A cell that does not hold a decimal `i64`
-    /// fails with [`HStoreError::NotALong`], a sum outside the `i64` range
-    /// with [`HStoreError::IncrementOverflow`]; either way nothing is
-    /// written.
-    #[inline]
-    pub fn increment(&mut self, row: RowKey, qualifier: Qualifier, delta: i64) -> Result<i64> {
-        self.try_increment(row, qualifier, delta).map(|(v, _)| v)
-    }
-
-    /// The canonical increment, reporting the read-modify-write's work.
+    /// (absent cells count as 0) and returns the new value with the
+    /// read-modify-write's work — HBase's `incrementColumnValue`. A cell
+    /// that does not hold a decimal `i64` fails with
+    /// [`HStoreError::NotALong`], a sum outside the `i64` range with
+    /// [`HStoreError::IncrementOverflow`]; either way nothing is written.
     pub fn try_increment(
         &mut self,
         row: RowKey,
@@ -592,15 +542,7 @@ impl CfStore {
     /// [`CfStore::try_get`].
     #[inline]
     pub fn get(&self, row: &RowKey, qualifier: &Qualifier) -> Option<Bytes> {
-        self.get_with_stats(row, qualifier).0
-    }
-
-    /// [`CfStore::get`] reporting which blocks the read touched and whether
-    /// the memstore answered it. Panics on detected block corruption (see
-    /// [`CfStore::try_get`]).
-    #[inline]
-    pub fn get_with_stats(&self, row: &RowKey, qualifier: &Qualifier) -> (Option<Bytes>, OpStats) {
-        self.try_get(row, qualifier).expect("corrupted HFile block on read path")
+        self.try_get(row, qualifier).expect("corrupted HFile block on read path").0
     }
 
     /// The canonical point read. Cold block reads verify checksums, so
@@ -610,13 +552,8 @@ impl CfStore {
         self.shared.try_get(row, qualifier)
     }
 
-    /// Scans up to `row_limit` rows starting at `start` (inclusive),
-    /// returning each live row's cells in column order.
-    pub fn scan(&self, start: &RowKey, row_limit: usize) -> ScanRows {
-        self.scan_range(&KeyRange::new(Some(start.clone()), None), row_limit)
-    }
-
-    /// Scans up to `row_limit` rows within `range`.
+    /// Scans up to `row_limit` rows within `range`, returning each live
+    /// row's cells in column order.
     pub fn scan_range(&self, range: &KeyRange, row_limit: usize) -> ScanRows {
         self.shared.scan_with(range, row_limit, None).0
     }
@@ -783,7 +720,7 @@ impl CfStore {
     /// Merges `inputs` (a contiguous run of the current file list) into one
     /// file and swaps the view. Readers holding the pre-compaction view
     /// keep reading the replaced files — their `Arc`s stay alive until the
-    /// last snapshot drops.
+    /// last such reader drops its view.
     fn merge_files(&mut self, inputs: &[Arc<HFile>], major: bool) -> Option<CompactionOutcome> {
         let file = merge_file_set(inputs, self.ids.next(), self.block_size, major);
         let replaced: Vec<FileId> = inputs.iter().map(|f| f.id()).collect();
@@ -931,129 +868,10 @@ impl StoreReader {
         self.shared.try_get(row, qualifier)
     }
 
-    /// Reads the newest live value, panicking on detected corruption.
-    #[inline]
-    pub fn get(&self, row: &RowKey, qualifier: &Qualifier) -> Option<Bytes> {
-        self.try_get(row, qualifier).expect("corrupted HFile block on read path").0
-    }
-
-    /// Scans up to `row_limit` rows starting at `start` (inclusive).
-    pub fn scan(&self, start: &RowKey, row_limit: usize) -> ScanRows {
-        self.scan_range(&KeyRange::new(Some(start.clone()), None), row_limit)
-    }
-
-    /// Scans up to `row_limit` rows within `range`.
-    pub fn scan_range(&self, range: &KeyRange, row_limit: usize) -> ScanRows {
-        self.shared.scan_with(range, row_limit, None).0
-    }
-
-    /// [`StoreReader::scan_range`] reporting this scan's block traffic.
+    /// Scans up to `row_limit` rows within `range`, reporting this scan's
+    /// block traffic (see [`CfStore::scan_range_with_stats`]).
     pub fn scan_range_with_stats(&self, range: &KeyRange, row_limit: usize) -> (ScanRows, OpStats) {
         self.shared.scan_range_with_stats(range, row_limit)
-    }
-
-    /// A stable point-in-time view (see [`StoreSnapshot`]).
-    pub fn snapshot(&self) -> StoreSnapshot {
-        self.shared.snapshot()
-    }
-}
-
-/// A stable point-in-time view of a store: the memstore contents at capture
-/// time plus the then-current file set. Unlike a [`StoreReader`] — which
-/// tracks the live store — a snapshot never changes: writes, flushes, and
-/// even major compactions after [`CfStore::snapshot`] are invisible to it
-/// (the replaced files stay alive through the snapshot's `Arc`s).
-///
-/// Snapshot reads still go through the shared block cache and therefore
-/// count toward its global hit/miss statistics, but they do **not** bump
-/// the store's [`ReadPathStats`] — a snapshot may outlive the store, and
-/// its traffic (region rebuilds, read replicas) is not serving-path load.
-#[derive(Debug, Clone)]
-pub struct StoreSnapshot {
-    /// Memstore states newest → oldest: the captured active memstore, then
-    /// any memstores that were frozen mid-flush at capture time.
-    mems: Vec<Arc<MemStore>>,
-    /// Immutable files, oldest → newest.
-    files: Vec<Arc<HFile>>,
-    cache: SharedBlockCache,
-}
-
-impl StoreSnapshot {
-    /// The canonical point read against the captured state.
-    pub fn try_get(&self, row: &RowKey, qualifier: &Qualifier) -> Result<(Option<Bytes>, OpStats)> {
-        let mut stats = OpStats::default();
-        for mem in &self.mems {
-            if let Some(v) = mem.get_newest(row, qualifier) {
-                stats.memstore = true;
-                return Ok((v, stats));
-            }
-        }
-        for file in self.files.iter().rev() {
-            let (result, bloom_rejected, access) = file.get(row, qualifier, &self.cache)?;
-            match access {
-                Some(crate::Access::Hit) => stats.cache_hits += 1,
-                Some(crate::Access::Miss) => stats.blocks_read += 1,
-                None => {}
-            }
-            if bloom_rejected {
-                continue;
-            }
-            if let Some(v) = result {
-                return Ok((v, stats));
-            }
-        }
-        Ok((None, stats))
-    }
-
-    /// Reads the newest live value, panicking on detected corruption.
-    #[inline]
-    pub fn get(&self, row: &RowKey, qualifier: &Qualifier) -> Option<Bytes> {
-        self.try_get(row, qualifier).expect("corrupted HFile block on read path").0
-    }
-
-    /// Scans up to `row_limit` rows starting at `start` (inclusive).
-    pub fn scan(&self, start: &RowKey, row_limit: usize) -> ScanRows {
-        self.scan_range(&KeyRange::new(Some(start.clone()), None), row_limit)
-    }
-
-    /// Scans up to `row_limit` rows within `range`.
-    pub fn scan_range(&self, range: &KeyRange, row_limit: usize) -> ScanRows {
-        self.scan_impl(range, row_limit, None)
-    }
-
-    /// [`StoreSnapshot::scan_range`] reporting this scan's block traffic.
-    pub fn scan_range_with_stats(&self, range: &KeyRange, row_limit: usize) -> (ScanRows, OpStats) {
-        let counter = AccessCounter::new();
-        let rows = self.scan_impl(range, row_limit, Some(counter.clone()));
-        let stats = OpStats {
-            cache_hits: counter.hits(),
-            blocks_read: counter.misses(),
-            memstore: self.mems.iter().any(|m| !m.is_empty()),
-        };
-        (rows, stats)
-    }
-
-    fn scan_impl(
-        &self,
-        range: &KeyRange,
-        row_limit: usize,
-        counter: Option<AccessCounter>,
-    ) -> ScanRows {
-        let tree =
-            build_cursors(self.mems.iter().map(|m| &**m), &self.files, &self.cache, range, counter);
-        collect_rows(tree, row_limit)
-    }
-
-    /// Every cell version in `range`, newest-first per coordinate.
-    pub fn export_range(&self, range: &KeyRange) -> Vec<CellVersion> {
-        let tree =
-            build_cursors(self.mems.iter().map(|m| &**m), &self.files, &self.cache, range, None);
-        tree.map(|(k, v)| CellVersion { key: k.clone(), value: v.clone() }).collect()
-    }
-
-    /// Number of immutable files in the captured view.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
     }
 }
 
@@ -1286,7 +1104,7 @@ mod tests {
         let mut s = store();
         s.put("r".into(), "c".into(), b("v1"));
         s.flush().unwrap();
-        s.delete("r".into(), "c".into());
+        s.try_delete("r".into(), "c".into()).unwrap();
         assert_eq!(s.get(&"r".into(), &"c".into()), None);
         s.flush().unwrap();
         // Tombstone now lives in a newer file than the value.
@@ -1324,8 +1142,8 @@ mod tests {
         }
         s.flush().unwrap();
         s.put("row3".into(), "c".into(), b("new3"));
-        s.delete("row5".into(), "c".into());
-        let rows = s.scan(&"row0".into(), 100);
+        s.try_delete("row5".into(), "c".into()).unwrap();
+        let rows = s.scan_range(&KeyRange::new(Some("row0".into()), None), 100);
         assert_eq!(rows.len(), 9, "deleted row must vanish");
         let row3 = rows.iter().find(|(r, _)| r.to_string() == "row3").unwrap();
         assert_eq!(row3.1[0].1, b("new3"));
@@ -1338,7 +1156,7 @@ mod tests {
         for i in 0..20 {
             s.put(format!("row{i:02}").into(), "c".into(), b("v"));
         }
-        let rows = s.scan(&"row05".into(), 3);
+        let rows = s.scan_range(&KeyRange::new(Some("row05".into()), None), 3);
         let names: Vec<String> = rows.iter().map(|(r, _)| r.to_string()).collect();
         assert_eq!(names, vec!["row05", "row06", "row07"]);
     }
@@ -1350,7 +1168,7 @@ mod tests {
         s.put("r".into(), "q2".into(), b("b"));
         s.flush().unwrap();
         s.put("r".into(), "q3".into(), b("c"));
-        let rows = s.scan(&"r".into(), 10);
+        let rows = s.scan_range(&KeyRange::new(Some("r".into()), None), 10);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1.len(), 3);
     }
@@ -1380,7 +1198,7 @@ mod tests {
         s.put("kill".into(), "c".into(), b("x"));
         s.flush().unwrap();
         s.put("keep".into(), "c".into(), b("v2"));
-        s.delete("kill".into(), "c".into());
+        s.try_delete("kill".into(), "c".into()).unwrap();
         s.flush().unwrap();
         let before = s.file_bytes();
         let out = s.compact_major().unwrap();
@@ -1449,28 +1267,28 @@ mod tests {
     fn check_and_put_is_conditional() {
         let mut s = store();
         // Expecting absence on an absent cell succeeds.
-        assert!(s.check_and_put("r".into(), "c".into(), None, b("v1")).unwrap());
+        assert!(s.try_check_and_put("r".into(), "c".into(), None, b("v1")).unwrap().0);
         // Expecting absence now fails.
-        assert!(!s.check_and_put("r".into(), "c".into(), None, b("v2")).unwrap());
+        assert!(!s.try_check_and_put("r".into(), "c".into(), None, b("v2")).unwrap().0);
         assert_eq!(s.get(&"r".into(), &"c".into()), Some(b("v1")));
         // Expecting the right value succeeds.
         let v1 = b("v1");
-        assert!(s.check_and_put("r".into(), "c".into(), Some(&v1), b("v2")).unwrap());
+        assert!(s.try_check_and_put("r".into(), "c".into(), Some(&v1), b("v2")).unwrap().0);
         assert_eq!(s.get(&"r".into(), &"c".into()), Some(b("v2")));
         // Works across a flush boundary too.
         s.flush();
         let v2 = b("v2");
-        assert!(s.check_and_put("r".into(), "c".into(), Some(&v2), b("v3")).unwrap());
+        assert!(s.try_check_and_put("r".into(), "c".into(), Some(&v2), b("v3")).unwrap().0);
         assert_eq!(s.get(&"r".into(), &"c".into()), Some(b("v3")));
     }
 
     #[test]
     fn increment_counts_from_zero_and_persists() {
         let mut s = store();
-        assert_eq!(s.increment("ctr".into(), "n".into(), 5).unwrap(), 5);
-        assert_eq!(s.increment("ctr".into(), "n".into(), -2).unwrap(), 3);
+        assert_eq!(s.try_increment("ctr".into(), "n".into(), 5).unwrap().0, 5);
+        assert_eq!(s.try_increment("ctr".into(), "n".into(), -2).unwrap().0, 3);
         s.flush();
-        assert_eq!(s.increment("ctr".into(), "n".into(), 7).unwrap(), 10);
+        assert_eq!(s.try_increment("ctr".into(), "n".into(), 7).unwrap().0, 10);
         assert_eq!(s.get(&"ctr".into(), &"n".into()), Some(b("10")));
     }
 
@@ -1478,7 +1296,7 @@ mod tests {
     fn increment_refuses_a_cell_that_is_not_a_long() {
         let mut s = store();
         s.put("r".into(), "c".into(), b("abc"));
-        let err = s.increment("r".into(), "c".into(), 5).unwrap_err();
+        let err = s.try_increment("r".into(), "c".into(), 5).unwrap_err();
         assert!(matches!(err, HStoreError::NotALong { .. }), "{err}");
         assert_eq!(s.get(&"r".into(), &"c".into()), Some(b("abc")), "cell untouched");
     }
@@ -1486,29 +1304,29 @@ mod tests {
     #[test]
     fn increment_past_i64_max_fails_and_leaves_the_cell() {
         let mut s = store();
-        assert_eq!(s.increment("r".into(), "c".into(), i64::MAX).unwrap(), i64::MAX);
-        let err = s.increment("r".into(), "c".into(), 1).unwrap_err();
+        assert_eq!(s.try_increment("r".into(), "c".into(), i64::MAX).unwrap().0, i64::MAX);
+        let err = s.try_increment("r".into(), "c".into(), 1).unwrap_err();
         assert!(
             matches!(err, HStoreError::IncrementOverflow { current: i64::MAX, delta: 1, .. }),
             "{err}"
         );
         assert_eq!(s.get(&"r".into(), &"c".into()), Some(b(&i64::MAX.to_string())));
-        assert_eq!(s.increment("r".into(), "c".into(), -1).unwrap(), i64::MAX - 1);
+        assert_eq!(s.try_increment("r".into(), "c".into(), -1).unwrap().0, i64::MAX - 1);
     }
 
     #[test]
     fn get_with_stats_distinguishes_memstore_cache_and_disk() {
         let mut s = store();
         s.put("r".into(), "c".into(), b("mem"));
-        let (v, st) = s.get_with_stats(&"r".into(), &"c".into());
+        let (v, st) = s.try_get(&"r".into(), &"c".into()).unwrap();
         assert_eq!(v, Some(b("mem")));
         assert!(st.memstore, "memstore answered the read");
         assert_eq!(st.blocks_touched(), 0);
         s.flush().unwrap();
-        let (_, st) = s.get_with_stats(&"r".into(), &"c".into());
+        let (_, st) = s.try_get(&"r".into(), &"c".into()).unwrap();
         assert!(!st.memstore);
         assert_eq!(st.blocks_read, 1, "cold read loads the block from disk");
-        let (_, st) = s.get_with_stats(&"r".into(), &"c".into());
+        let (_, st) = s.try_get(&"r".into(), &"c".into()).unwrap();
         assert_eq!((st.cache_hits, st.blocks_read), (1, 0), "warm read hits the cache");
     }
 
@@ -1568,7 +1386,7 @@ mod tests {
         s.put("a".into(), "c".into(), b("file"));
         s.flush().unwrap();
         s.put("b".into(), "c".into(), b("mem"));
-        s.delete("a".into(), "c".into());
+        s.try_delete("a".into(), "c".into()).unwrap();
         let before = state_of(&s);
         let next_ts = s.next_ts();
 
@@ -1762,58 +1580,32 @@ mod tests {
     fn reader_tracks_live_writes_and_flushes() {
         let mut s = store();
         let r = s.reader();
-        assert_eq!(r.get(&"r".into(), &"c".into()), None);
+        assert_eq!(r.try_get(&"r".into(), &"c".into()).unwrap().0, None);
         s.put("r".into(), "c".into(), b("v1"));
-        assert_eq!(r.get(&"r".into(), &"c".into()), Some(b("v1")), "reader sees acked write");
+        assert_eq!(
+            r.try_get(&"r".into(), &"c".into()).unwrap().0,
+            Some(b("v1")),
+            "reader sees acked write"
+        );
         s.flush().unwrap();
-        assert_eq!(r.get(&"r".into(), &"c".into()), Some(b("v1")), "reader sees flushed data");
-        s.delete("r".into(), "c".into());
-        assert_eq!(r.get(&"r".into(), &"c".into()), None, "reader sees the tombstone");
-        let rows = r.scan(&"r".into(), 10);
+        assert_eq!(
+            r.try_get(&"r".into(), &"c".into()).unwrap().0,
+            Some(b("v1")),
+            "reader sees flushed data"
+        );
+        s.try_delete("r".into(), "c".into()).unwrap();
+        assert_eq!(
+            r.try_get(&"r".into(), &"c".into()).unwrap().0,
+            None,
+            "reader sees the tombstone"
+        );
+        let rows = r.scan_range_with_stats(&KeyRange::new(Some("r".into()), None), 10).0;
         assert!(rows.is_empty());
     }
 
     #[test]
-    fn reader_and_snapshot_are_send_and_sync() {
+    fn reader_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<StoreReader>();
-        assert_send_sync::<StoreSnapshot>();
-    }
-
-    #[test]
-    fn snapshot_ignores_later_writes_and_flushes() {
-        let mut s = store();
-        s.put("a".into(), "c".into(), b("v1"));
-        s.flush().unwrap();
-        s.put("b".into(), "c".into(), b("v2"));
-        let snap = s.snapshot();
-        // Mutate the live store every way we can.
-        s.put("a".into(), "c".into(), b("changed"));
-        s.delete("b".into(), "c".into());
-        s.put("c".into(), "c".into(), b("new"));
-        s.flush().unwrap();
-        s.compact_major().unwrap();
-        // The snapshot still answers from the captured state.
-        assert_eq!(snap.get(&"a".into(), &"c".into()), Some(b("v1")));
-        assert_eq!(snap.get(&"b".into(), &"c".into()), Some(b("v2")));
-        assert_eq!(snap.get(&"c".into(), &"c".into()), None);
-        let rows = snap.scan_range(&KeyRange::all(), 100);
-        assert_eq!(rows.len(), 2);
-        // The live store sees the new world.
-        assert_eq!(s.get(&"a".into(), &"c".into()), Some(b("changed")));
-        assert_eq!(s.get(&"b".into(), &"c".into()), None);
-    }
-
-    #[test]
-    fn snapshot_export_matches_store_export() {
-        let mut s = store();
-        for i in 0..30 {
-            s.put(format!("row{i:02}").into(), "c".into(), b("v"));
-        }
-        s.flush().unwrap();
-        s.put("row05".into(), "c".into(), b("newer"));
-        let snap = s.snapshot();
-        assert_eq!(snap.export_range(&KeyRange::all()), s.export_range(&KeyRange::all()));
-        assert_eq!(snap.file_count(), s.file_count());
     }
 }

@@ -1,17 +1,17 @@
 //! Concurrency tests for the shared-reader engine: readers running on
 //! [`StoreReader`] handles must never observe torn or unacked state while
 //! a writer thread mutates, flushes, compacts and rotates the WAL
-//! underneath them, and a [`StoreSnapshot`] must stay pinned to its
-//! capture point even across a major compaction that replaces every file
-//! it references.
+//! underneath them, and concurrent readers on one shared block cache must
+//! leave its statistics exactly equal to the work their ops report.
 
 use bytes::Bytes;
-use hstore::store::{CfStore, FileIdAllocator};
+use hstore::store::{CfStore, FileIdAllocator, StoreReader};
 use hstore::types::{KeyRange, Qualifier, RowKey};
-use hstore::{SharedBlockCache, WalConfig};
+use hstore::{OpStats, SharedBlockCache, WalConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 
 fn store() -> CfStore {
     CfStore::new(SharedBlockCache::new(4 << 20), FileIdAllocator::new(), 1 << 10)
@@ -27,6 +27,11 @@ fn qual() -> Qualifier {
 
 fn val(i: u64) -> Bytes {
     Bytes::from(format!("value-{i:06}"))
+}
+
+/// The newest live value of key `i` through a reader handle.
+fn read(reader: &StoreReader, i: u64) -> Option<Bytes> {
+    reader.try_get(&row(i), &qual()).expect("no corruption injected").0
 }
 
 /// Keys at this stride are deleted immediately after being written, before
@@ -73,7 +78,7 @@ fn readers_see_prefix_consistent_state_during_flush_and_compaction() {
                         }
                         x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                         let i = (x >> 33) % acked;
-                        let got = reader.get(&row(i), &qual());
+                        let got = read(&reader, i);
                         if is_deleted(i) {
                             assert_eq!(got, None, "key {i} acked deleted, read a value back");
                         } else {
@@ -84,7 +89,7 @@ fn readers_see_prefix_consistent_state_during_flush_and_compaction() {
                         if sampled.is_multiple_of(64) && acked > SCAN_WINDOW {
                             let lo = (x >> 17) % (acked - SCAN_WINDOW);
                             let range = KeyRange::new(Some(row(lo)), Some(row(lo + SCAN_WINDOW)));
-                            let rows = reader.scan_range(&range, usize::MAX);
+                            let (rows, _) = reader.scan_range_with_stats(&range, usize::MAX);
                             let seen: BTreeMap<RowKey, Bytes> = rows
                                 .into_iter()
                                 .map(|(r, mut cells)| {
@@ -118,7 +123,7 @@ fn readers_see_prefix_consistent_state_during_flush_and_compaction() {
         for i in 0..KEYS {
             s.put(row(i), qual(), val(i));
             if is_deleted(i) {
-                s.delete(row(i), qual());
+                s.try_delete(row(i), qual()).expect("WAL append");
             }
             watermark.store(i + 1, Ordering::Release);
             if i % 500 == 499 {
@@ -198,7 +203,7 @@ proptest! {
                         while !done.load(Ordering::Relaxed) {
                             x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                             let i = (x >> 33) % 16;
-                            obs.push((i, reader.get(&row(i), &qual())));
+                            obs.push((i, read(&reader, i)));
                         }
                         obs
                     })
@@ -213,7 +218,7 @@ proptest! {
                         valid[*r as usize].insert(Some(value));
                     }
                     Op::Delete(r) => {
-                        s.delete(row(*r), qual());
+                        s.try_delete(row(*r), qual()).expect("WAL append");
                         valid[*r as usize].insert(None);
                     }
                     Op::Flush => {
@@ -245,51 +250,68 @@ proptest! {
     }
 }
 
-/// A snapshot taken before a major compaction keeps serving the exact
-/// pre-compaction view — overwrites, new tombstones, flushes and the
-/// compaction itself (which replaces every file the snapshot references)
-/// are all invisible, because the snapshot pins the old memstore contents
-/// and file set through its own `Arc`s.
+/// Reader threads doing point gets over flushed files of two stores that
+/// share one block cache, under eviction pressure: every touch goes
+/// through the cache's one mutex, so the per-op work the readers report
+/// must add up to the cache's own statistics exactly — hits to hits,
+/// misses to misses — and the byte budget must hold throughout.
 #[test]
-fn snapshot_survives_major_compaction_with_pre_compaction_view() {
-    let mut s = store();
-    for i in 0..200u64 {
-        s.put(row(i), qual(), val(i));
-        if i % 50 == 49 {
-            s.flush();
+fn concurrent_readers_on_a_shared_cache_account_every_block() {
+    const KEYS: u64 = 2_000;
+    const READERS: usize = 3;
+    const GETS: u64 = 4_000;
+
+    // 64 KiB of 1 KiB blocks: far less than the two stores' files, so
+    // readers evict each other's blocks while they run.
+    let cache = SharedBlockCache::new(64 << 10);
+    let ids = FileIdAllocator::new();
+    let mut stores: Vec<CfStore> =
+        (0..2).map(|_| CfStore::new(cache.clone(), ids.clone(), 1 << 10)).collect();
+    for s in &mut stores {
+        for i in 0..KEYS {
+            s.put(row(i), qual(), val(i));
+            if i % 500 == 499 {
+                s.flush();
+            }
         }
+        assert_eq!(s.file_count(), 4, "every key lives in a flushed file");
     }
-    for i in (0..200u64).step_by(10) {
-        s.delete(row(i), qual());
-    }
-    s.flush();
+    assert_eq!(cache.stats().accesses(), 0, "building the stores reads no block");
 
-    let snap = s.snapshot();
-    let full = KeyRange::new(None, None);
-    let before = snap.scan_range(&full, usize::MAX);
-    let files_before = s.file_count();
-    assert!(files_before > 1, "major compaction must have multiple inputs");
+    let start = Barrier::new(READERS);
+    let per_reader: Vec<OpStats> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..READERS)
+            .map(|idx| {
+                let reader = stores[idx % stores.len()].reader();
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    let mut total = OpStats::default();
+                    let mut x = 0x2545_f491u64.wrapping_add(idx as u64);
+                    start.wait();
+                    for _ in 0..GETS {
+                        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        let i = (x >> 33) % KEYS;
+                        let (got, stats) =
+                            reader.try_get(&row(i), &qual()).expect("no corruption injected");
+                        assert_eq!(got, Some(val(i)), "key {i} read wrong");
+                        assert!(!stats.memstore, "every key was flushed");
+                        total.absorb(stats);
+                        assert!(cache.used_bytes() <= cache.capacity_bytes());
+                    }
+                    total
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("reader thread panicked")).collect()
+    });
 
-    // Mutate heavily after the snapshot: shadow half the keys, tombstone
-    // others, then major-compact — every pre-snapshot file is dropped from
-    // the live store and its cache entries invalidated.
-    for i in (0..200u64).step_by(2) {
-        s.put(row(i), qual(), Bytes::from_static(b"shadow"));
-    }
-    for i in (1..200u64).step_by(4) {
-        s.delete(row(i), qual());
-    }
-    s.flush();
-    let outcome = s.compact_major().expect("major compaction ran");
-    assert!(outcome.replaced.len() >= 2, "compaction merged the flushed files");
-    assert_eq!(s.file_count(), 1, "major compaction leaves one file");
-
-    let after = snap.scan_range(&full, usize::MAX);
-    assert_eq!(before, after, "snapshot view drifted across major compaction");
-    // And the snapshot still resolves point reads from the replaced files.
-    assert_eq!(snap.get(&row(1), &qual()), Some(val(1)));
-    assert_eq!(snap.get(&row(10), &qual()), None, "pre-snapshot tombstone holds");
-    // The live store, by contrast, sees the post-compaction world.
-    assert_eq!(s.get(&row(2), &qual()), Some(Bytes::from_static(b"shadow")));
-    assert_eq!(s.get(&row(5), &qual()), None, "post-snapshot tombstone applies live");
+    let stats = cache.stats();
+    let hits: u64 = per_reader.iter().map(|s| s.cache_hits).sum();
+    let misses: u64 = per_reader.iter().map(|s| s.blocks_read).sum();
+    let touched: u64 = per_reader.iter().map(OpStats::blocks_touched).sum();
+    assert!(touched >= READERS as u64 * GETS, "each get touched at least one block");
+    assert_eq!(touched, stats.accesses(), "per-op blocks must partition the cache's accesses");
+    assert_eq!((hits, misses), (stats.hits, stats.misses), "hits and misses attributed exactly");
+    assert!(stats.evictions > 0, "the working set must overflow the cache");
+    assert!(cache.used_bytes() <= cache.capacity_bytes());
 }

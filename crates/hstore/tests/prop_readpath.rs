@@ -51,7 +51,7 @@ fn apply(store: &mut CfStore, model: &mut BTreeMap<InternalKey, Option<Bytes>>, 
                 model.insert(InternalKey::new(row(*r), qual(*q), ts), Some(value));
             }
             Op::Delete(r, q) => {
-                let ts = store.delete(row(*r), qual(*q));
+                let (ts, _) = store.try_delete(row(*r), qual(*q)).expect("no WAL, cannot fail");
                 model.insert(InternalKey::new(row(*r), qual(*q), ts), None);
             }
             Op::Flush => {

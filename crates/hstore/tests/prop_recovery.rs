@@ -59,7 +59,7 @@ fn apply(store: &mut CfStore, model: &mut Model, op: &Op) {
             model.insert((row(*r), qual(*q)), value);
         }
         Op::Delete(r, q) => {
-            store.delete(row(*r), qual(*q));
+            store.try_delete(row(*r), qual(*q)).expect("WAL append failed");
             model.remove(&(row(*r), qual(*q)));
         }
         Op::Flush => {

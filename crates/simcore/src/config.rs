@@ -32,26 +32,6 @@ pub struct EnvConfig {
     pub fault_plan: Option<String>,
     /// `MET_FAULT_SEED` — seed for the `random` fault plan.
     pub fault_seed: u64,
-    /// `MET_PERF_OPS` — `exp-perf` ops per repetition of each store mix.
-    pub perf_ops: Option<u64>,
-    /// `MET_PERF_TICKS` — `exp-perf` measured cluster ticks per repetition.
-    pub perf_ticks: Option<u64>,
-    /// `MET_PERF_WARMUP_TICKS` — `exp-perf` cluster warmup ticks.
-    pub perf_warmup_ticks: Option<u64>,
-    /// `MET_PERF_REPS` — `exp-perf` repetitions (median reported).
-    pub perf_reps: Option<usize>,
-    /// `MET_PERF_CLIENTS` — `exp-perf` client threads for the threaded
-    /// store legs (`1` skips them).
-    pub perf_clients: Option<usize>,
-    /// `MET_PERF_ASSERT_CLIENT_SPEEDUP` — minimum
-    /// point-get-at-N-clients / point-get-at-1-thread ratio `exp-perf`
-    /// exits non-zero below. Meaningful only where real cores exist, so
-    /// armed on multi-core CI, not by default.
-    pub perf_assert_client_speedup: Option<f64>,
-    /// `MET_PERF_COMMIT` — `exp-perf` commit label override.
-    pub perf_commit: Option<String>,
-    /// `MET_BENCH_PATH` — `exp-perf` output path.
-    pub bench_path: Option<PathBuf>,
     /// `MET_PROFILE` / `MET_SPANS` — arm the wall-clock span profiler
     /// (`telemetry::span`). Truthy values: `1`, `true`, `on`, `yes`.
     pub profile: bool,
@@ -86,17 +66,6 @@ impl EnvConfig {
             trace_level: get("MET_TRACE_LEVEL"),
             fault_plan: get("MET_FAULT_PLAN"),
             fault_seed: get("MET_FAULT_SEED").and_then(|s| s.trim().parse().ok()).unwrap_or(42),
-            perf_ops: get("MET_PERF_OPS").and_then(|s| s.trim().parse().ok()),
-            perf_ticks: get("MET_PERF_TICKS").and_then(|s| s.trim().parse().ok()),
-            perf_warmup_ticks: get("MET_PERF_WARMUP_TICKS").and_then(|s| s.trim().parse().ok()),
-            perf_reps: get("MET_PERF_REPS").and_then(|s| s.trim().parse().ok()),
-            perf_clients: get("MET_PERF_CLIENTS").and_then(|s| s.trim().parse().ok()),
-            perf_assert_client_speedup: get("MET_PERF_ASSERT_CLIENT_SPEEDUP")
-                .and_then(|s| s.trim().parse().ok()),
-            perf_commit: get("MET_PERF_COMMIT")
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty()),
-            bench_path: get("MET_BENCH_PATH").map(PathBuf::from),
             profile: get("MET_PROFILE").as_deref().map(is_truthy).unwrap_or(false)
                 || get("MET_SPANS").as_deref().map(is_truthy).unwrap_or(false),
             profile_out: get("MET_PROFILE_OUT").map(PathBuf::from),
@@ -154,14 +123,6 @@ mod tests {
             ("MET_TRACE_LEVEL", "info"),
             ("MET_FAULT_PLAN", "reference"),
             ("MET_FAULT_SEED", "7"),
-            ("MET_PERF_OPS", "5000"),
-            ("MET_PERF_TICKS", "30"),
-            ("MET_PERF_WARMUP_TICKS", "10"),
-            ("MET_PERF_REPS", "3"),
-            ("MET_PERF_CLIENTS", "4"),
-            ("MET_PERF_ASSERT_CLIENT_SPEEDUP", "2.0"),
-            ("MET_PERF_COMMIT", " abc1234 "),
-            ("MET_BENCH_PATH", "/tmp/BENCH_perf.json"),
             ("MET_PROFILE", "1"),
             ("MET_PROFILE_OUT", "/tmp/profile"),
             ("MET_PROFILE_MINUTES", "6"),
@@ -173,14 +134,6 @@ mod tests {
         assert_eq!(c.trace_level.as_deref(), Some("info"));
         assert_eq!(c.fault_plan.as_deref(), Some("reference"));
         assert_eq!(c.fault_seed, 7);
-        assert_eq!(c.perf_ops, Some(5000));
-        assert_eq!(c.perf_ticks, Some(30));
-        assert_eq!(c.perf_warmup_ticks, Some(10));
-        assert_eq!(c.perf_reps, Some(3));
-        assert_eq!(c.perf_clients, Some(4));
-        assert_eq!(c.perf_assert_client_speedup, Some(2.0));
-        assert_eq!(c.perf_commit.as_deref(), Some("abc1234"));
-        assert_eq!(c.bench_path.as_deref(), Some(std::path::Path::new("/tmp/BENCH_perf.json")));
         assert!(c.profile);
         assert_eq!(c.profile_out.as_deref(), Some(std::path::Path::new("/tmp/profile")));
         assert_eq!(c.profile_minutes, Some(6));
